@@ -28,7 +28,6 @@ from .filters import (
     FilterBank,
     FilterProfile,
     bank_from_config,
-    build_compact_bank,
     build_filter_bank,
     export_bank,
     lift_flag_filter,

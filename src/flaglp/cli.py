@@ -35,6 +35,8 @@ from .transform import (CoefficientField, analyze, estimate_remainder_norm,
 
 VERIFY_SUITES = ("partition", "plancherel", "remainder-decay", "roundtrip")
 
+DEFAULT_OFFSET = 3
+
 
 def _format_float(x):
     if x != x:
@@ -78,38 +80,35 @@ def _write_report(path, report):
         fh.write("\n")
 
 
-def _jobs(args):
-    if args.jobs is not None:
-        return args.jobs
-    env = os.environ.get("FLAGLP_JOBS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigurationError("FLAGLP_JOBS must be an integer")
-    return os.cpu_count() or 1
+def _offset(args):
+    """--offset, or DEFAULT_OFFSET when neither it nor a bank has set it."""
+    return DEFAULT_OFFSET if args.offset is None else args.offset
 
 
 def _bank_for(grid, args):
+    """Bank from --config and --bank; --offset supplies N unless n_offset does.
+
+    Records the bank's N in args.offset, so commands and the report use it.
+    """
     text = args.bank
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh
-                     if ln.strip() and not ln.strip().startswith("#")]
-        text = ",".join(lines) + ("," + text if text else "")
-    if text:
-        return bank_from_config(grid, text)
-    return build_filter_bank(grid, FilterProfile(), args.offset)
+            text = fh.read() + "\n" + text
+    bank = bank_from_config(grid, text, _offset(args))
+    if args.offset is not None and args.offset != bank.N:
+        raise ConfigurationError(
+            "--offset %d conflicts with n_offset=%d in the bank configuration"
+            % (args.offset, bank.N))
+    args.offset = bank.N
+    return bank
 
 
 def _report_header(command, args, grid=None, bank=None):
-    config = {"jobs": _jobs(args)}
-    for key, value in sorted(vars(args).items()):
-        # the output directory does not affect results and would break
-        # byte-identical reports across runs
-        if key in ("func", "jobs", "out"):
-            continue
-        config[key] = value
+    # the output directory does not affect results and would break
+    # byte-identical reports across runs
+    config = {key: value for key, value in sorted(vars(args).items())
+              if key not in ("func", "out")}
+    config["offset"] = _offset(args)
     out = {"command": command, "version": __version__, "config": config}
     if grid is not None:
         out["grid"] = {"n": grid.n, "m": grid.m, "L": grid.L}
@@ -161,8 +160,7 @@ def cmd_synthesize(args):
     with np.load(args.input) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         grid = make_grid(meta["n"], meta["m"], meta["L"])
-        bank = bank_from_config(grid, meta["bank"]) if meta["bank"] \
-            else build_filter_bank(grid, FilterProfile(), meta["offset"])
+        bank = bank_from_config(grid, meta["bank"], meta["offset"])
         slots = {}
         for name in data.files:
             if name.startswith("slot_"):
@@ -387,7 +385,7 @@ def cmd_verify(args):
 
 def cmd_gen_corpus(args):
     grid = make_grid(args.n, args.m, args.L)
-    functions, manifest = gen_corpus(grid, args.count, args.seed, N=args.offset)
+    functions, manifest = gen_corpus(grid, args.count, args.seed, N=_offset(args))
     out = _out_dir(args)
     for idx, f in enumerate(functions):
         write_block(os.path.join(out, "corpus-%03d.bin" % idx), f)
@@ -399,12 +397,13 @@ def cmd_gen_corpus(args):
 
 def _add_common(sub):
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker count (default: FLAGLP_JOBS or all cores)")
-    sub.add_argument("--offset", type=int, default=3,
-                     help="scale offset N of the anchored sampling")
+    sub.add_argument("--offset", type=int, default=None,
+                     help="scale offset N of the anchored sampling (default: "
+                          "n_offset of the bank configuration, else %d)"
+                          % DEFAULT_OFFSET)
     sub.add_argument("--bank", default="",
-                     help="bank configuration, comma-separated key=value")
+                     help="bank configuration, comma-separated key=value "
+                          "(inner_radius, outer_radius, smoothness, n_offset)")
     sub.add_argument("--config", default="",
                      help="file of key=value lines merged into --bank")
 

@@ -9,11 +9,13 @@ identical seeds reproduce identical corpora across platforms, and the
 algorithm name is recorded in the manifest.
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigurationError
-from .filters import FilterProfile, build_filter_bank, lift_flag_filter
-from .grid import SampledFunction, enumerate_rectangles, rectangle_counts
+from .filters import FilterProfile, build_filter_bank
+from .grid import DyadicRectangle, SampledFunction, rectangle_index_shape
 from .transform import (CoefficientField, anchored_scales, band_projector,
                         synthesize_discrete)
 
@@ -66,8 +68,11 @@ def indicator_union(grid, bank, rng, pieces=3):
     for _ in range(pieces):
         j = int(rng.integers(j_lo, j_hi + 1))
         k = int(rng.integers(k_lo, k_hi + 1))
-        rects = enumerate_rectangles(grid, j, k, bank.N)
-        rect = rects[int(rng.integers(0, len(rects)))]
+        # one flat draw over the rectangles in enumerate_rectangles order
+        shape = rectangle_index_shape(grid, j, k, bank.N)
+        flat = int(rng.integers(0, math.prod(shape)))
+        idx = tuple(int(c) for c in np.unravel_index(flat, shape))
+        rect = DyadicRectangle(j=j, k=k, N=bank.N, i_idx=idx[:grid.n], j_idx=idx[grid.n:])
         values[rect.sample_slices(grid)] = 1.0
     return SampledFunction(grid, values)
 
@@ -75,18 +80,12 @@ def indicator_union(grid, bank, rng, pieces=3):
 def single_atom(grid, bank, rng):
     """Discrete synthesis of a one-hot coefficient field."""
     scales = anchored_scales(bank)
-    # channels with k >= j+2 have identically zero lifted filters (the
-    # second-factor band lies above the first-factor cap); atoms must
-    # come from a live channel
-    live = [key for key in scales
-            if np.any(lift_flag_filter(bank, key[0], key[1]) != 0.0)]
-    j, k = live[int(rng.integers(0, len(live)))]
-    counts = rectangle_counts(grid, j, k, bank.N)
-    slots = {key: np.zeros(rectangle_counts(grid, key[0], key[1], bank.N),
+    hot_key = scales[int(rng.integers(0, len(scales)))]
+    slots = {key: np.zeros(rectangle_index_shape(grid, *key, bank.N),
                            dtype=np.complex128)
              for key in scales}
-    hot = tuple(int(rng.integers(0, c)) for c in counts)
-    slots[(j, k)][hot] = 1.0
+    hot = tuple(int(rng.integers(0, c)) for c in slots[hot_key].shape)
+    slots[hot_key][hot] = 1.0
     coeffs = CoefficientField(bank, bank.N, slots,
                               np.zeros(grid.shape, dtype=np.complex128))
     return synthesize_discrete(coeffs, bank)

@@ -152,15 +152,16 @@ def support_violations(report: CZReport, bank: FilterBank, threshold: float = 0.
     """
     grid = bank.grid
     violations = 0
-    for (j, k), cls in report.rect_classes.items():
-        top = int(cls.max()) if cls.size else 0
-        for level in range(1, top + 1):
-            members = cls == level
-            if not members.any():
-                continue
-            dilated = dilated_level_set(report.level_masks[level - 1], grid, threshold)
+    for level, previous in enumerate(report.level_masks, start=1):
+        members = {key: cls == level for key, cls in report.rect_classes.items()}
+        members = {key: m for key, m in members.items() if m.any()}
+        if not members:
+            continue
+        # the dilation depends only on the level: one strong maximal per level
+        dilated = dilated_level_set(previous, grid, threshold)
+        for (j, k), m in members.items():
             inside = block_reduce(dilated, grid, j, k, report.N, np.min)
-            violations += int(np.sum(members & ~inside))
+            violations += int(np.sum(m & ~inside))
     return violations
 
 

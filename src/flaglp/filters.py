@@ -1,25 +1,21 @@
 """Scale-indexed filter families on the two factors and their flag lifting.
 
-Two modes are supported.  The frequency-annulus mode builds a telescoping
-smooth partition of unity on the frequency lattice, so the Calderon
-condition
+Each factor carries a telescoping smooth partition of unity on the
+frequency lattice (dyadic frequency annuli), so the Calderon condition
 
     sum_j |psi1_hat(2^-j xi)|^2 = 1   (away from the covered band edges)
 
 holds to rounding error; the corresponding spatial filters have all
-moments vanishing because their transforms vanish near the origin.  The
-compact-spatial mode builds radial bumps supported in balls with a finite
-number of vanishing moments; its Calderon residual is reported, not
-certified, and downstream consumers absorb the defect through the Neumann
-inverse.
+moments vanishing because their transforms vanish near the origin.
 
 The flag family is the lifting psi_{j,k} whose transform is the pointwise
 product of the first-factor transform at scale j with the second-factor
 transform at scale k (the frequency-side identity of partial convolution
-in the second variable).
+in the second variable).  Where the second-factor annulus at scale k lies
+outside the first-factor support at scale j the product is identically
+zero; a bank keeps only the channels whose lifted filter is not.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +23,8 @@ import numpy as np
 from .errors import ConfigurationError, RangeError, ResolutionError
 from .grid import Grid, SampledFunction
 
+# construction name, recorded in bank identifiers and export manifests
 _ANNULUS = "frequency-annulus"
-_COMPACT = "compact-spatial"
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,6 @@ class FilterProfile:
     inner_radius: float = 0.5
     outer_radius: float = 2.0
     smoothness: float = 1.0
-    mode: str = _ANNULUS
 
     def __post_init__(self):
         if not (0 < self.inner_radius < self.outer_radius):
@@ -47,8 +42,6 @@ class FilterProfile:
             )
         if self.smoothness <= 0:
             raise ConfigurationError("smoothness must be positive")
-        if self.mode not in (_ANNULUS, _COMPACT):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
 
 
 def smooth_cutoff(r: np.ndarray, profile: FilterProfile) -> np.ndarray:
@@ -73,10 +66,12 @@ def smooth_cutoff(r: np.ndarray, profile: FilterProfile) -> np.ndarray:
 class FilterBank:
     """Frequency-domain filter families for one grid and offset N.
 
-    psi1_hat[j] is a real array over the full (n+m)-dimensional lattice;
-    psi2_hat[k] is a real array over the m-dimensional sub-lattice.
-    low_pass1_hat / low_pass2_hat complete the per-factor partitions;
-    low_pass_hat is the combined full-grid completion used by analysis.
+    psi1_hat[j] is a real, nonnegative array over the full
+    (n+m)-dimensional lattice; psi2_hat[k] is one over the m-dimensional
+    sub-lattice.  low_pass1_hat / low_pass2_hat complete the per-factor
+    partitions; low_pass_hat is the combined full-grid completion used by
+    analysis.  scales lists the live (j, k) channels in (j, k) order:
+    those whose lifted filter is not identically zero.
     """
 
     grid: Grid
@@ -91,27 +86,12 @@ class FilterBank:
     low_pass_hat: np.ndarray
     calderon_residual1: float
     calderon_residual2: float
-    moment_order: object  # "infinite" or an int
-    phi1_base: np.ndarray = None  # compact mode: spatial samples of the base bumps
-    phi2_base: np.ndarray = None
-
-    @property
-    def mode(self) -> str:
-        return self.profile.mode
-
-    @property
-    def scales(self) -> list:
-        """All (j, k) channel pairs."""
-        return [
-            (j, k)
-            for j in range(self.j_range[0], self.j_range[1] + 1)
-            for k in range(self.k_range[0], self.k_range[1] + 1)
-        ]
+    scales: tuple
 
     def identifier(self) -> str:
         p = self.profile
         return (
-            f"{p.mode}:r{p.inner_radius}-{p.outer_radius}:s{p.smoothness}"
+            f"{_ANNULUS}:r{p.inner_radius}-{p.outer_radius}:s{p.smoothness}"
             f":N{self.N}:j{self.j_range}:k{self.k_range}"
         )
 
@@ -123,10 +103,6 @@ def _scale_window(grid: Grid, N: int) -> int:
             f"grid L={grid.L} too coarse for offset N={N}: empty scale range"
         )
     return j_max
-
-
-def _second_factor_axes(grid: Grid) -> tuple:
-    return tuple(range(grid.n, grid.n + grid.m))
 
 
 def _broadcast_second(grid: Grid, arr_m: np.ndarray) -> np.ndarray:
@@ -163,12 +139,27 @@ def _combined_low_pass(grid: Grid, lp1: np.ndarray, lp2: np.ndarray) -> np.ndarr
     return np.sqrt(np.clip(sq, 0.0, 1.0))
 
 
+def _live_scales(grid: Grid, psi1: list, psi2: list) -> tuple:
+    """(j, k) pairs whose lifted filter psi1[j] * psi2[k] is not all zero.
+
+    The filters are nonnegative and rounding is monotone, so the product
+    has a nonzero entry over a second-factor frequency exactly when the
+    maximum of psi1[j] over the first-factor axes times psi2[k] is
+    nonzero there.  The test then runs on the m-dimensional lattice, and
+    the zero set follows the actual supports (it depends on the radii).
+    """
+    first_axes = tuple(range(grid.n))
+    live = []
+    for j, h1 in enumerate(psi1):
+        peak = h1.max(axis=first_axes)
+        live += [(j, k) for k, h2 in enumerate(psi2) if np.any(peak * h2)]
+    return tuple(live)
+
+
 def build_filter_bank(grid: Grid, profile: FilterProfile = None, N: int = 2) -> FilterBank:
-    """Annulus-mode bank with an exact frequency partition on the lattice."""
+    """Bank with an exact frequency partition on the lattice."""
     if profile is None:
         profile = FilterProfile()
-    if profile.mode != _ANNULUS:
-        raise ConfigurationError("build_filter_bank requires a frequency-annulus profile")
     if N < 1:
         raise ConfigurationError(f"offset N must be >= 1, got {N}")
     j_max = _scale_window(grid, N)
@@ -194,7 +185,7 @@ def build_filter_bank(grid: Grid, profile: FilterProfile = None, N: int = 2) -> 
         low_pass_hat=_combined_low_pass(grid, lp1, lp2),
         calderon_residual1=_partition_residual(psi1, lp1),
         calderon_residual2=_partition_residual(psi2, lp2),
-        moment_order="infinite",
+        scales=_live_scales(grid, psi1, psi2),
     )
 
 
@@ -208,170 +199,46 @@ def lift_flag_filter(bank: FilterBank, j: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# compact-spatial mode
-
-
-def _bump(r: np.ndarray) -> np.ndarray:
-    """Radial C^inf bump supported in the ball of radius 1/2, peak value 1."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    inside = (2.0 * r) < 1.0
-    u = (2.0 * r[inside]) ** 2
-    out[inside] = np.exp(-u / (1.0 - u))
-    return out
-
-
-def _moment_corrected_bump(r: np.ndarray, dim: int, M0: int) -> np.ndarray:
-    """Combination of dyadic dilates of the bump with moments vanishing to M0.
-
-    Coefficients are the divided-difference weights over the nodes
-    lambda_i^2, which annihilate every polynomial moment of total degree
-    <= M0 (odd degrees vanish by radiality).
-    """
-    q = M0 // 2
-    lams = [2.0 ** (-i) for i in range(q + 2)]
-    nodes = [lam**2 for lam in lams]
-    out = np.zeros_like(np.asarray(r, dtype=float))
-    for i, lam in enumerate(lams):
-        a = 1.0
-        for jj, nd in enumerate(nodes):
-            if jj != i:
-                a /= nodes[i] - nd
-        out = out + a * lam ** (-dim) * _bump(r / lam)
-    return out
-
-
-def _torus_radius(grid: Grid, axes: tuple) -> np.ndarray:
-    """Distance to the origin on the torus, over the given axes only."""
-    M = grid.samples_per_axis
-    coord = (np.arange(M) + M // 2) % M - M // 2
-    coord = coord * grid.spacing
-    shape = (M,) * len(axes)
-    mesh = np.meshgrid(*([coord] * len(axes)), indexing="ij") if len(axes) > 1 else [coord]
-    return np.sqrt(sum(g**2 for g in mesh)).reshape(shape)
-
-
-def _sampled_dilate(grid: Grid, axes: tuple, dim: int, M0: int, j: int) -> np.ndarray:
-    """Spatial samples of 2^(dim*j) * phi(2^j x) on the torus sub-lattice."""
-    r = _torus_radius(grid, axes)
-    return (2.0 ** (dim * j)) * _moment_corrected_bump(r * 2.0**j, dim, M0)
-
-
-def build_compact_bank(grid: Grid, M0: int = 2, N: int = 2) -> FilterBank:
-    """Compact-spatial bank: radial bumps with M0 vanishing moments.
-
-    The partition defect is reported in the Calderon residual fields; the
-    per-factor low-pass completions are the same smooth cutoffs as in
-    annulus mode, so the low-frequency channel stays genuinely low-pass.
-    """
-    if M0 < 1:
-        raise ConfigurationError(f"moment order M0 must be >= 1, got {M0}")
-    if N < 1:
-        raise ConfigurationError(f"offset N must be >= 1, got {N}")
-    j_max = _scale_window(grid, N)
-    # finest-scale bump has support radius 2^-(j_max+1); require >= 4 samples
-    if 2.0 ** (-(j_max + 1)) < 4 * grid.spacing:
-        raise ResolutionError(
-            f"compact bump unresolvable at scale {j_max} on an L={grid.L} grid"
-        )
-
-    d1 = grid.ndim
-    axes1 = tuple(range(d1))
-    axes2 = _second_factor_axes(grid)
-    h = grid.spacing
-
-    phi1_base = _sampled_dilate(grid, axes1, d1, M0, 0)
-    phi2_base = _sampled_dilate(grid, axes2, grid.m, M0, 0)
-
-    psi1 = []
-    for j in range(j_max + 1):
-        samples = _sampled_dilate(grid, axes1, d1, M0, j)
-        psi1.append(np.real(np.fft.fftn(samples)) * h**d1)
-    psi2 = []
-    for k in range(j_max + 1):
-        samples = _sampled_dilate(grid, axes2, grid.m, M0, k)
-        psi2.append(np.real(np.fft.fftn(samples)) * h**grid.m)
-
-    profile = FilterProfile(mode=_COMPACT)
-    annulus_profile = FilterProfile()
-    r1 = grid.frequency_norm(axes1)
-    k_ax = grid.axis_frequencies()
-    mesh = np.meshgrid(*([k_ax] * grid.m), indexing="ij") if grid.m > 1 else [k_ax]
-    r2 = np.sqrt(sum(g**2 for g in mesh))
-    lp1 = np.sqrt(smooth_cutoff(2.0 * r1, annulus_profile))
-    lp2 = np.sqrt(smooth_cutoff(2.0 * r2, annulus_profile))
-
-    # normalize each family so its squared sum sits near 1 over the band it
-    # is responsible for; the Neumann inverse absorbs the remaining defect
-    def _normalize(filters, r, lp):
-        band = (r >= 1.0) & (r <= 2.0 ** (j_max - 1))
-        if not np.any(band):
-            band = r >= 1.0
-        total = sum(hh**2 for hh in filters)
-        scale = 1.0 / math.sqrt(float(np.mean(total[band])))
-        return [hh * scale for hh in filters]
-
-    psi1 = _normalize(psi1, r1, lp1)
-    psi2 = _normalize(psi2, r2, lp2)
-
-    return FilterBank(
-        grid=grid,
-        profile=profile,
-        N=N,
-        j_range=(0, j_max),
-        k_range=(0, j_max),
-        psi1_hat=tuple(psi1),
-        psi2_hat=tuple(psi2),
-        low_pass1_hat=lp1,
-        low_pass2_hat=lp2,
-        low_pass_hat=_combined_low_pass(grid, lp1, lp2),
-        calderon_residual1=_partition_residual(psi1, lp1),
-        calderon_residual2=_partition_residual(psi2, lp2),
-        moment_order=M0,
-        phi1_base=phi1_base,
-        phi2_base=phi2_base,
-    )
-
-
-# ---------------------------------------------------------------------------
 # config parsing and export
 
 
-_CONFIG_KEYS = {"mode", "inner_radius", "outer_radius", "smoothness", "m0", "n_offset"}
+# value type per key: n_offset is the bank's N, the rest are FilterProfile fields
+_CONFIG_KEYS = {"inner_radius": float, "outer_radius": float, "smoothness": float, "n_offset": int}
 
 
 def parse_bank_config(text: str) -> dict:
-    """Parse a plain key=value config into bank construction parameters."""
+    """Parse key=value entries into typed bank construction parameters.
+
+    Entries are separated by commas or newlines; '#' starts a comment
+    that runs to the end of its line.
+    """
     params = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigurationError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        key = key.lower()
-        if key not in _CONFIG_KEYS:
-            raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
-        params[key] = value
+        for entry in raw.split("#", 1)[0].split(","):
+            entry = entry.strip()
+            if not entry:
+                continue
+            if "=" not in entry:
+                raise ConfigurationError(f"config line {lineno}: expected key=value, got {entry!r}")
+            key, value = (s.strip() for s in entry.split("=", 1))
+            key = key.lower()
+            if key not in _CONFIG_KEYS:
+                raise ConfigurationError(f"config line {lineno}: unknown key {key!r}")
+            kind = _CONFIG_KEYS[key]
+            try:
+                params[key] = kind(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"config line {lineno}: {key} needs a {kind.__name__}, got {value!r}"
+                ) from None
     return params
 
 
-def bank_from_config(grid: Grid, text: str) -> FilterBank:
+def bank_from_config(grid: Grid, text: str, N: int = 2) -> FilterBank:
+    """Bank from a key=value config; n_offset, when given, overrides N."""
     params = parse_bank_config(text)
-    mode = params.get("mode", _ANNULUS)
-    if mode not in (_ANNULUS, _COMPACT):
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    N = int(params.get("n_offset", 2))
-    if mode == _COMPACT:
-        return build_compact_bank(grid, M0=int(params.get("m0", 2)), N=N)
-    profile = FilterProfile(
-        inner_radius=float(params.get("inner_radius", 0.5)),
-        outer_radius=float(params.get("outer_radius", 2.0)),
-        smoothness=float(params.get("smoothness", 1.0)),
-        mode=_ANNULUS,
-    )
-    return build_filter_bank(grid, profile, N=N)
+    N = params.pop("n_offset", N)
+    return build_filter_bank(grid, FilterProfile(**params), N=N)
 
 
 def export_bank(bank: FilterBank, directory) -> dict:
@@ -405,7 +272,7 @@ def export_bank(bank: FilterBank, directory) -> dict:
         "m": grid.m,
         "L": grid.L,
         "N": bank.N,
-        "mode": bank.mode,
+        "mode": _ANNULUS,
         "j_range": list(bank.j_range),
         "k_range": list(bank.k_range),
         "calderon_residual1": bank.calderon_residual1,

@@ -179,6 +179,16 @@ def rectangle_counts(grid: Grid, j: int, k: int, N: int) -> tuple:
     return ci, cj
 
 
+def rectangle_index_shape(grid: Grid, j: int, k: int, N: int) -> tuple:
+    """Shape of an array holding one value per rectangle at scale (j, k, N).
+
+    Its C-order flat index lists the rectangles in enumerate_rectangles
+    order; coefficient slots use this layout.
+    """
+    ci, cj = rectangle_counts(grid, j, k, N)
+    return (ci,) * grid.n + (cj,) * grid.m
+
+
 def enumerate_rectangles(grid: Grid, j: int, k: int, N: int) -> list:
     """All dyadic rectangles tiling the torus at scale (j, k, N)."""
     ci, cj = rectangle_counts(grid, j, k, N)

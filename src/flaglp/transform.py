@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .filters import FilterBank, lift_flag_filter
-from .grid import Grid, SampledFunction, rectangle_counts
+from .grid import Grid, SampledFunction, rectangle_counts, rectangle_index_shape
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,10 @@ class CoefficientField:
     """Per-channel coefficient arrays sampled on the anchor lattices.
 
     slots maps (j, k) to an array of shape (2^(j+N),)*n + (2^(min(j,k)+N),)*m
-    holding psi_{j,k}*f at the rectangle anchors, over the anchored scales
-    only; low_pass is the full-grid bypass channel (low-pass plus the
-    capped top-scale annuli).  Also reused as the bare sequence carrier.
+    holding psi_{j,k}*f at the rectangle anchors, over the bank's live
+    anchored channels only; low_pass is the full-grid bypass channel
+    (low-pass plus the capped top-scale annuli).  Also reused as the bare
+    sequence carrier.
     """
 
     bank: FilterBank
@@ -46,8 +47,7 @@ class CoefficientField:
     def __post_init__(self):
         grid = self.bank.grid
         for (j, k), arr in self.slots.items():
-            ci, cj = rectangle_counts(grid, j, k, self.N)
-            expected = (ci,) * grid.n + (cj,) * grid.m
+            expected = rectangle_index_shape(grid, j, k, self.N)
             if arr.shape != expected:
                 raise ShapeMismatchError(
                     f"slot ({j},{k}) has shape {arr.shape}, expected {expected}"
@@ -100,7 +100,7 @@ def _cell_box_transfer(grid: Grid, j: int, k: int, N: int) -> np.ndarray:
 
 
 def anchored_scales(bank: FilterBank) -> list:
-    """Channels whose anchor lattice resolves them without aliasing.
+    """Live channels whose anchor lattice resolves them without aliasing.
 
     A channel at first-factor scale j has frequency support of radius
     2^(j+1) and spectral copies spaced 2^(j+N) apart, so it is alias-free
@@ -120,8 +120,9 @@ def bypass_multiplier(bank: FilterBank) -> np.ndarray:
     """
     top = bank.j_range[1]
     power = bank.low_pass_hat.astype(float) ** 2
-    for k in range(bank.k_range[0], bank.k_range[1] + 1):
-        power = power + lift_flag_filter(bank, top, k) ** 2
+    for j, k in bank.scales:
+        if j == top:
+            power = power + lift_flag_filter(bank, j, k) ** 2
     return np.sqrt(np.maximum(power, 0.0))
 
 
@@ -305,7 +306,7 @@ def synthesize_discrete(coeffs: CoefficientField, bank: FilterBank) -> SampledFu
     if coeffs.bank.grid != bank.grid:
         raise ShapeMismatchError("coefficient field and bank live on different grids")
     if set(coeffs.slots) != set(anchored_scales(bank)):
-        raise ShapeMismatchError("coefficient slots do not match the bank's scale window")
+        raise ShapeMismatchError("coefficient slots do not match the bank's live anchored channels")
     grid = bank.grid
     N = coeffs.N
     out_hat = bypass_multiplier(bank).astype(complex) * np.fft.fftn(coeffs.low_pass)

@@ -127,6 +127,57 @@ def test_bad_bank_config_exits_2(corpus_dir, tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
+def test_bank_config_entries_and_offset(corpus_dir, tmp_path):
+    block = str(corpus_dir / "corpus-000.bin")
+
+    def analyze(name, *extra):
+        return main(["analyze", block, *extra, "--out", str(tmp_path / name)])
+
+    def report(name):
+        return json.loads((tmp_path / name / "analyze.json").read_text())
+
+    assert analyze("commas", "--bank", "n_offset=3,smoothness=1.0") == 0
+    # --offset (default 3) supplies N unless n_offset is given
+    assert analyze("smooth", "--bank", "smoothness=2.0") == 0
+    assert ":s2.0:N3:" in report("smooth")["bank"]
+    assert analyze("n2", "--bank", "n_offset=2") == 0
+    assert report("n2")["config"]["offset"] == 2
+    assert analyze("agree", "--bank", "n_offset=2", "--offset", "2") == 0
+    assert analyze("clash", "--bank", "n_offset=2", "--offset", "3") == 2
+    assert analyze("word", "--bank", "smoothness=abc") == 2
+    assert analyze("mode", "--bank", "mode=compact-spatial") == 2
+    cfg = tmp_path / "bank.cfg"
+    cfg.write_text("# profile\nsmoothness=2.0  # sharper\nn_offset=3\n")
+    assert analyze("cfg", "--config", str(cfg)) == 0
+    assert report("cfg")["bank"] == report("smooth")["bank"]
+
+
+def test_reports_do_not_record_jobs(corpus_dir, tmp_path, monkeypatch):
+    block = str(corpus_dir / "corpus-000.bin")
+    monkeypatch.delenv("FLAGLP_JOBS", raising=False)
+    assert main(["analyze", block, "--out", str(tmp_path / "a")]) == 0
+    monkeypatch.setenv("FLAGLP_JOBS", "7")
+    assert main(["analyze", block, "--out", str(tmp_path / "b")]) == 0
+    ra = (tmp_path / "a" / "analyze.json").read_bytes()
+    assert ra == (tmp_path / "b" / "analyze.json").read_bytes()
+    assert "jobs" not in json.loads(ra)["config"]
+    assert main(["analyze", block, "--jobs", "2", "--out", str(tmp_path)]) == 2
+
+
+def test_synthesize_rejects_dead_slots(corpus_dir, tmp_path):
+    block = str(corpus_dir / "corpus-000.bin")
+    assert main(["analyze", block, "--dump-coeffs", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "analyze.json").read_text())
+    # (0,2) has an identically zero lifted filter, so it is no channel
+    assert "0,2" not in report["channels"]
+    with np.load(tmp_path / "coeffs.npz") as data:
+        payload = {name: data[name] for name in data.files}
+    payload["slot_0_2"] = np.zeros_like(payload["slot_0_0"])
+    np.savez(tmp_path / "dead.npz", **payload)
+    assert main(["synthesize", str(tmp_path / "dead.npz"),
+                 "--out", str(tmp_path / "synth")]) == 1
+
+
 def test_bad_arguments_exit_2(tmp_path):
     assert main(["no-such-command"]) == 2
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import flaglp
-from flaglp.corpus import RNG_ALGORITHM, band_limited_field, gen_corpus
+from flaglp.corpus import (DEFAULT_KINDS, RNG_ALGORITHM, _rng, band_limited_field,
+                           gen_corpus, indicator_union)
 from flaglp.errors import ConfigurationError
+from flaglp.grid import enumerate_rectangles
 from flaglp.transform import anchored_scales, band_projector
 
 
@@ -97,3 +99,28 @@ def test_default_bank_construction():
     fs, manifest = gen_corpus(grid, 2, 0, N=2)
     assert len(fs) == 2
     assert manifest["offset"] == 2
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2)])
+def test_corpus_beyond_two_dimensions(n, m):
+    grid = flaglp.make_grid(n, m, 5)
+    fs, manifest = gen_corpus(grid, 4, 1)
+    assert [e["kind"] for e in manifest["entries"]] == list(DEFAULT_KINDS)
+    for f in fs:
+        assert f.values.shape == grid.shape
+        assert np.max(np.abs(f.values)) > 0.0
+
+
+def test_indicator_draws_follow_enumeration_order(small):
+    # the flat draw picks the rectangle enumerate_rectangles lists at that index
+    grid3 = flaglp.make_grid(2, 1, 5)
+    for grid, bank in (small, (grid3, flaglp.build_filter_bank(grid3, N=2))):
+        f = indicator_union(grid, bank, _rng(5), pieces=6)
+        rng = _rng(5)
+        expected = np.zeros(grid.shape, dtype=np.complex128)
+        for _ in range(6):
+            j = int(rng.integers(bank.j_range[0], bank.j_range[1] + 1))
+            k = int(rng.integers(bank.k_range[0], bank.k_range[1] + 1))
+            rects = enumerate_rectangles(grid, j, k, bank.N)
+            expected[rects[int(rng.integers(0, len(rects)))].sample_slices(grid)] = 1.0
+        assert np.array_equal(f.values, expected)

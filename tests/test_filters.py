@@ -81,10 +81,26 @@ def test_annulus_cross_correlation_vanishes(small):
 
 
 def test_dead_channels_above_diagonal(small):
-    grid, bank = small
-    for j, k in bank.scales:
-        if k >= j + 2:
-            assert not np.any(lift_flag_filter(bank, j, k))
+    # over the full (j, k) range a channel is absent from bank.scales
+    # exactly when its lifted filter is identically zero
+    def absent(bank):
+        full = [(j, k) for j in range(bank.j_range[0], bank.j_range[1] + 1)
+                for k in range(bank.k_range[0], bank.k_range[1] + 1)]
+        live = [(j, k) for j, k in full if np.any(lift_flag_filter(bank, j, k))]
+        assert list(bank.scales) == live
+        return set(full) - set(live)
+
+    grid7 = flaglp.make_grid(1, 1, 7)
+    for bank in (small[1], flaglp.build_filter_bank(flaglp.make_grid(2, 1, 5), N=2),
+                 flaglp.build_filter_bank(flaglp.make_grid(1, 2, 5), N=2)):
+        absent(bank)
+    # the zero set follows the profile radii, not a fixed k >= j+2 rule
+    assert absent(flaglp.build_filter_bank(grid7, N=3)) == {(0, 1), (0, 2), (0, 3), (1, 3)}
+    narrow = FilterProfile(outer_radius=1.5)
+    assert absent(flaglp.build_filter_bank(grid7, narrow, N=3)) == {
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+    wide = FilterProfile(inner_radius=0.3, outer_radius=3.0)
+    assert absent(flaglp.build_filter_bank(grid7, wide, N=3)) == {(0, 3)}
 
 
 def test_radial_symmetry(small):
@@ -102,27 +118,14 @@ def test_profile_validation():
         FilterProfile(inner_radius=2.0, outer_radius=1.0)
     with pytest.raises(ConfigurationError):
         FilterProfile(smoothness=0.0)
-    with pytest.raises(ConfigurationError):
-        FilterProfile(mode="nope")
-
-
-def test_build_requires_annulus_profile():
-    grid = flaglp.make_grid(1, 1, 5)
-    with pytest.raises(ConfigurationError):
-        flaglp.build_filter_bank(grid, FilterProfile(mode="compact-spatial"))
-
-
-def test_compact_bank_builds_and_identifies():
-    grid = flaglp.make_grid(1, 1, 6)
-    bank = flaglp.build_compact_bank(grid, M0=2, N=2)
-    assert bank.N == 2
-    assert bank.identifier() != flaglp.build_filter_bank(grid, N=2).identifier()
 
 
 def test_identifier_deterministic(small):
     grid, bank = small
     again = flaglp.build_filter_bank(grid, N=2)
     assert bank.identifier() == again.identifier()
+    # reports and corpus manifests embed this text
+    assert bank.identifier() == "frequency-annulus:r0.5-2.0:s1.0:N2:j(0, 3):k(0, 3)"
 
 
 def test_bank_from_config_roundtrip(small):
@@ -132,12 +135,17 @@ def test_bank_from_config_roundtrip(small):
     assert rebuilt.identifier() == bank.identifier()
     for a, b in zip(bank.psi1_hat, rebuilt.psi1_hat):
         assert np.array_equal(a, b)
+    # commas separate entries as newlines do; n_offset overrides N
+    joined = "inner_radius=0.5, outer_radius=2.0,smoothness=1.0 # comment\nn_offset=2"
+    assert bank_from_config(grid, joined, N=3).identifier() == bank.identifier()
+    assert bank_from_config(grid, "smoothness=1.0", N=2).identifier() == bank.identifier()
 
 
 def test_export_bank_manifest(small, tmp_path):
     grid, bank = small
     manifest = export_bank(bank, tmp_path)
     assert manifest["L"] == grid.L
+    assert manifest["mode"] == "frequency-annulus"
     names = {e["file"] for e in manifest["filters"]}
     assert "low_pass.blk" in names
     block = flaglp.read_block(tmp_path / "psi1_j0.blk")
@@ -146,5 +154,7 @@ def test_export_bank_manifest(small, tmp_path):
 
 def test_bank_from_config_rejects_garbage(small):
     grid, _ = small
-    with pytest.raises(ConfigurationError):
-        bank_from_config(grid, "mode=?unknown?\n")
+    for text in ("mode=?unknown?\n", "mode=compact-spatial", "m0=2",
+                 "smoothness=abc", "n_offset=2.5", "inner_radius=0.5,,junk"):
+        with pytest.raises(ConfigurationError):
+            bank_from_config(grid, text)

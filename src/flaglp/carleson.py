@@ -14,7 +14,7 @@ from .blocks import block_expand, block_reduce
 from .errors import ConfigurationError, DomainError, ShapeMismatchError
 from .filters import FilterBank, lift_flag_filter
 from .grid import DyadicRectangle, Grid, SampledFunction, lp_norm_array
-from .transform import CoefficientField
+from .transform import CoefficientField, _check_offset
 
 
 @dataclass(frozen=True)
@@ -44,22 +44,11 @@ class OpenSetApprox:
         return cls(grid=grid, cell_mask=mask, rects=tuple(rects))
 
 
-def _slot_rect_measure(grid: Grid, j: int, k: int, N: int) -> float:
-    side_i = 2.0 ** (-(j + N))
-    side_j = 2.0 ** (-(min(j, k) + N))
-    return side_i**grid.n * side_j**grid.m
-
-
 def sp_norm(s: CoefficientField, p: float) -> float:
     """L^p norm of the normalized piecewise-constant coefficient aggregate."""
     if p <= 0:
         raise DomainError(f"exponent p must be positive, got {p}")
-    grid = s.bank.grid
-    total = np.zeros(grid.shape)
-    for (j, k), slot in s.slots.items():
-        w = _slot_rect_measure(grid, j, k, s.N)
-        total += block_expand(np.abs(slot) ** 2, grid, j, k, s.N) / w
-    return lp_norm_array(np.sqrt(total), p, grid.cell_volume)
+    return lp_norm_array(np.sqrt(_density_field(s)), p, s.bank.grid.cell_volume)
 
 
 def _contained_mask(omega: OpenSetApprox, j: int, k: int, N: int) -> np.ndarray:
@@ -105,9 +94,7 @@ def cmo_norm(
         raise ConfigurationError("cmo_norm needs a nonempty candidate family")
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    N = bank.N if N is None else N
-    if N != bank.N:
-        raise ConfigurationError(f"offset N={N} conflicts with bank N={bank.N}")
+    N = _check_offset(bank, N)
     grid = bank.grid
     fhat = np.fft.fftn(f.values)
     cell_sums = {}
@@ -145,7 +132,7 @@ def _density_field(t: CoefficientField) -> np.ndarray:
     grid = t.bank.grid
     total = np.zeros(grid.shape)
     for (j, k), slot in t.slots.items():
-        w = _slot_rect_measure(grid, j, k, t.N)
+        w = _rect_from_slot_index(grid, j, k, t.N, 0, slot.shape).measure(grid.n, grid.m)
         total += block_expand(np.abs(slot) ** 2, grid, j, k, t.N) / w
     return total
 
@@ -167,7 +154,7 @@ def generate_candidates(t: CoefficientField, budget: int) -> list:
     keep = max(budget, 16)
     ranked = []
     for (j, k), slot in t.slots.items():
-        w = _slot_rect_measure(grid, j, k, t.N)
+        w = _rect_from_slot_index(grid, j, k, t.N, 0, slot.shape).measure(grid.n, grid.m)
         dens = (np.abs(slot) ** 2 / w).ravel()
         top = np.argpartition(-dens, min(keep, dens.size) - 1)[: min(keep, dens.size)]
         for flat in top:

@@ -149,7 +149,7 @@ def cmd_analyze(args):
         payload["low_pass"] = coeffs.low_pass
         payload["meta"] = np.bytes_(json.dumps({
             "n": f.grid.n, "m": f.grid.m, "L": f.grid.L,
-            "offset": coeffs.N, "bank": args.bank or "",
+            "offset": coeffs.N, "bank": bank.config(),
         }).encode("utf-8"))
         np.savez(os.path.join(out, "coeffs.npz"), **payload)
     _write_report(os.path.join(out, "analyze.json"), report)
@@ -157,18 +157,22 @@ def cmd_analyze(args):
 
 
 def cmd_synthesize(args):
-    with np.load(args.input) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        grid = make_grid(meta["n"], meta["m"], meta["L"])
-        bank = bank_from_config(grid, meta["bank"], meta["offset"])
-        slots = {}
-        for name in data.files:
-            if name.startswith("slot_"):
-                _, j, k = name.split("_")
-                slots[(int(j), int(k))] = data[name]
-        coeffs = CoefficientField(bank, meta["offset"], slots,
-                                  data["low_pass"])
-    f = synthesize_discrete(coeffs, bank)
+    try:
+        with np.load(args.input) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            grid = make_grid(meta["n"], meta["m"], meta["L"])
+            bank = bank_from_config(grid, meta["bank"], meta["offset"])
+            slots = {}
+            for name in data.files:
+                if name.startswith("slot_"):
+                    _, j, k = name.split("_")
+                    slots[(int(j), int(k))] = data[name]
+            coeffs = CoefficientField(bank, meta["offset"], slots, data["low_pass"])
+        f = synthesize_discrete(coeffs, bank)
+    except (KeyError, ValueError, FlagLPError) as exc:
+        # everything above reads only the file: an input error, not a failed validation
+        raise ConfigurationError("malformed coefficient file %r: %s"
+                                 % (args.input, exc)) from None
     out = _out_dir(args)
     write_block(os.path.join(out, "synthesized.bin"), f)
     report = _report_header("synthesize", args, grid, bank)

@@ -63,7 +63,6 @@ def cz_decompose(
     p1: float = 2.0,
     p2: float = 0.7,
     tol: float = 1e-10,
-    dilation_threshold: float = 0.5,
 ):
     """Split f = g + b at threshold alpha; returns (g, b, CZReport)."""
     if alpha <= 0:

@@ -17,9 +17,11 @@ zero; a bank keeps only the channels whose lifted filter is not.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .blocks import block_shape
 from .errors import ConfigurationError, RangeError, ResolutionError
 from .grid import Grid, SampledFunction
 
@@ -63,6 +65,22 @@ def smooth_cutoff(r: np.ndarray, profile: FilterProfile) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class AnchoredChannel:
+    """Channel (j, k) folded onto its anchor lattice (see the transform module).
+
+    fold_shape splits each axis of length M into (step, M // step), step
+    being the anchor spacing, and alias_axes are the step axes; cell holds
+    per axis the Dirichlet factor of a sum over one anchor cell.
+    """
+
+    j: int
+    k: int
+    fold_shape: tuple
+    alias_axes: tuple
+    cell: tuple
+
+
+@dataclass(frozen=True)
 class FilterBank:
     """Frequency-domain filter families for one grid and offset N.
 
@@ -71,7 +89,8 @@ class FilterBank:
     sub-lattice.  low_pass1_hat / low_pass2_hat complete the per-factor
     partitions; low_pass_hat is the combined full-grid completion used by
     analysis.  scales lists the live (j, k) channels in (j, k) order:
-    those whose lifted filter is not identically zero.
+    those whose lifted filter is not identically zero.  anchored and
+    bypass_hat, the transforms' operator plan, are built on first use.
     """
 
     grid: Grid
@@ -87,6 +106,38 @@ class FilterBank:
     calderon_residual1: float
     calderon_residual2: float
     scales: tuple
+
+    @cached_property
+    def anchored(self) -> tuple:
+        """The live channels below the capped top scale, folded (AnchoredChannel)."""
+        grid, M = self.grid, self.grid.samples_per_axis
+        channels = []
+        for j, k in self.scales:
+            if j == self.j_range[1]:
+                continue
+            step1, step2 = block_shape(grid, j, k, self.N)
+            steps = (step1,) * grid.n + (step2,) * grid.m
+            cell = tuple(
+                np.fft.fft(np.arange(M) < s).reshape((1, 1) * ax + (s, M // s) + (1, 1) * (grid.ndim - ax - 1))
+                for ax, s in enumerate(steps)
+            )
+            fold_shape = sum(((s, M // s) for s in steps), ())
+            channels.append(AnchoredChannel(j, k, fold_shape, tuple(range(0, 2 * grid.ndim, 2)), cell))
+        return tuple(channels)
+
+    @cached_property
+    def bypass_hat(self) -> np.ndarray:
+        """Multiplier of the bypass channel: the low-pass and the capped top-scale channels."""
+        power = self.low_pass_hat**2
+        for j, k in self.scales:
+            if j == self.j_range[1]:
+                power = power + lift_flag_filter(self, j, k) ** 2
+        return np.sqrt(np.maximum(power, 0.0))
+
+    def config(self) -> str:
+        """key=value entries from which bank_from_config rebuilds this bank."""
+        entries = dict(vars(self.profile), n_offset=self.N)
+        return ",".join(f"{key}={value!r}" for key, value in entries.items())
 
     def identifier(self) -> str:
         p = self.profile

@@ -150,14 +150,6 @@ class DyadicRectangle:
     def measure(self, n: int, m: int) -> float:
         return self.side_i**n * self.side_j**m
 
-    @property
-    def anchor(self) -> tuple:
-        """(x_I, y_J) lower-left corner in torus coordinates."""
-        return (
-            tuple(c * self.side_i for c in self.i_idx),
-            tuple(c * self.side_j for c in self.j_idx),
-        )
-
     def sample_slices(self, grid: Grid) -> tuple:
         """Index slices selecting the grid samples inside the rectangle."""
         si = int(round(self.side_i / grid.spacing))

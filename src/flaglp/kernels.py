@@ -121,14 +121,13 @@ def _central_difference(kernel, point, orders, step):
         2: ((-1.0, 1.0), (0.0, -2.0), (1.0, 1.0)),
     }
     nodes = [((), 1.0)]
-    for axis, order in enumerate(orders):
+    for order in orders:
         if order > 2:
             raise KernelError("derivative order above the certified cap")
         scale = step ** (-order) if order else 1.0
         nodes = [(offs + (shift * step,), coef * w * scale)
                  for offs, coef in nodes
                  for shift, w in stencils[order]]
-        del axis
     total = 0.0 + 0.0j
     for offs, coef in nodes:
         shifted = tuple(p + o for p, o in zip(point, offs))
@@ -237,7 +236,7 @@ def _fit_cancellation_constants(kernel, quad_count):
         if len(remaining) == len(kernel.blocks):
             continue
         worst = 0.0
-        for bump_idx, (bump, scale) in enumerate(bump_family()):
+        for bump, scale in bump_family():
             for delta in DELTA_LADDER:
                 nodes, h = _midpoint_nodes(1.0 / delta, quad_count)
                 weights = scale * bump(delta * nodes) * h
@@ -255,7 +254,6 @@ def _fit_cancellation_constants(kernel, quad_count):
                         base = sum(abs(point[i]) for i in span)
                         bound *= base ** (-weight)
                     worst = max(worst, abs(total) / bound)
-            del bump_idx
         fitted[axis] = worst
     return fitted
 

@@ -12,6 +12,16 @@ capped channel reaches the lattice Nyquist frequency while its anchor
 lattice keeps every other sample, so subsampling it aliases
 unrecoverably; like the low-pass, it is a finite-resolution artifact and
 is reproduced exactly through a single bypass multiplier instead.
+
+The anchored transforms use the polyphase identity: keeping every s-th
+sample of a length-M sequence periodizes its spectrum with period M/s, so
+the samples' length-M/s spectrum is the mean of the full one over its s
+aliases xi + a M/s, and spreading samples back repeats it over them.
+Reshaping each axis to (s, M/s) makes both a mean over, or a broadcast
+along, the alias axes, so T and T* cost one fftn/ifftn pair in all.  The
+bank's operator plan (FilterBank.anchored, FilterBank.bypass_hat) holds
+the fold shapes, the cell-sum factors and the bypass multiplier; lifted
+filters are formed on the fly, so no full-grid array is kept per channel.
 """
 
 from dataclasses import dataclass
@@ -24,8 +34,9 @@ from .errors import (
     DivergenceError,
     ShapeMismatchError,
 )
+from .blocks import block_shape
 from .filters import FilterBank, lift_flag_filter
-from .grid import Grid, SampledFunction, rectangle_counts, rectangle_index_shape
+from .grid import Grid, SampledFunction, rectangle_index_shape
 
 
 @dataclass(frozen=True)
@@ -54,49 +65,19 @@ class CoefficientField:
                 )
             if not np.all(np.isfinite(arr.view(np.float64) if arr.dtype.kind == "c" else arr)):
                 raise ShapeMismatchError(f"slot ({j},{k}) contains non-finite entries")
-        if self.low_pass is not None and self.low_pass.shape != grid.shape:
-            raise ShapeMismatchError("low-pass channel shape does not match the grid")
+        lp = self.low_pass
+        if lp is not None and (lp.shape != grid.shape or not np.all(np.isfinite(lp))):
+            raise ShapeMismatchError("low-pass channel must be finite and match the grid")
 
     def map_slots(self, fn) -> "CoefficientField":
         """New field with fn(j, k, slot) applied to every slot."""
         new = {(j, k): fn(j, k, arr) for (j, k), arr in self.slots.items()}
         return CoefficientField(self.bank, self.N, new, self.low_pass)
 
-    def zero_like(self, keep_low_pass: bool = False) -> "CoefficientField":
-        new = {key: np.zeros_like(arr) for key, arr in self.slots.items()}
-        lp = self.low_pass if keep_low_pass else np.zeros_like(self.low_pass)
-        return CoefficientField(self.bank, self.N, new, lp)
-
 
 def _anchor_slices(grid: Grid, j: int, k: int, N: int) -> tuple:
-    ci, cj = rectangle_counts(grid, j, k, N)
-    M = grid.samples_per_axis
-    step1, step2 = M // ci, M // cj
+    step1, step2 = block_shape(grid, j, k, N)
     return (slice(None, None, step1),) * grid.n + (slice(None, None, step2),) * grid.m
-
-
-def _cell_box_transfer(grid: Grid, j: int, k: int, N: int) -> np.ndarray:
-    """Transfer function of summation over one anchor cell (per channel)."""
-    ci, cj = rectangle_counts(grid, j, k, N)
-    M = grid.samples_per_axis
-    step1, step2 = M // ci, M // cj
-
-    def dirichlet(step):
-        box = np.zeros(M)
-        box[:step] = 1.0
-        return np.fft.fft(box)
-
-    d1, d2 = dirichlet(step1), dirichlet(step2)
-    out = np.ones(grid.shape, dtype=complex)
-    for ax in range(grid.n):
-        shape = [1] * grid.ndim
-        shape[ax] = M
-        out = out * d1.reshape(shape)
-    for ax in range(grid.n, grid.ndim):
-        shape = [1] * grid.ndim
-        shape[ax] = M
-        out = out * d2.reshape(shape)
-    return out
 
 
 def anchored_scales(bank: FilterBank) -> list:
@@ -104,26 +85,20 @@ def anchored_scales(bank: FilterBank) -> list:
 
     A channel at first-factor scale j has frequency support of radius
     2^(j+1) and spectral copies spaced 2^(j+N) apart, so it is alias-free
-    for every scale except the capped top one, whose support extends to
-    the Nyquist frequency.
+    for every scale except the capped top one.
     """
-    top = bank.j_range[1]
-    return [(j, k) for (j, k) in bank.scales if j < top]
+    return [(ch.j, ch.k) for ch in bank.anchored]
 
 
-def bypass_multiplier(bank: FilterBank) -> np.ndarray:
-    """Frequency multiplier of the exactly reproduced bypass channel.
+def _folded_filter(bank: FilterBank, ch) -> np.ndarray:
+    return lift_flag_filter(bank, ch.j, ch.k).reshape(ch.fold_shape)
 
-    Square root of the combined low-pass power plus the power of every
-    capped top-scale channel; together with the anchored channels it
-    completes the partition of unity exactly.
-    """
-    top = bank.j_range[1]
-    power = bank.low_pass_hat.astype(float) ** 2
-    for j, k in bank.scales:
-        if j == top:
-            power = power + lift_flag_filter(bank, j, k) ** 2
-    return np.sqrt(np.maximum(power, 0.0))
+
+def _cell_transfer(arr: np.ndarray, ch, conj: bool = False) -> np.ndarray:
+    """arr times the channel's cell-sum transfer function (or its conjugate)."""
+    for factor in ch.cell:
+        arr = arr * (np.conj(factor) if conj else factor)
+    return arr
 
 
 def _check_offset(bank: FilterBank, N) -> int:
@@ -143,10 +118,10 @@ def analyze(f: SampledFunction, bank: FilterBank, N: int = None) -> CoefficientF
     N = _check_offset(bank, N)
     fhat = np.fft.fftn(f.values)
     slots = {}
-    for j, k in anchored_scales(bank):
-        conv = np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)
-        slots[(j, k)] = np.ascontiguousarray(conv[_anchor_slices(bank.grid, j, k, N)])
-    low_pass = np.fft.ifftn(bypass_multiplier(bank) * fhat)
+    for ch in bank.anchored:
+        spectrum = _folded_filter(bank, ch) * fhat.reshape(ch.fold_shape)
+        slots[(ch.j, ch.k)] = np.fft.ifftn(spectrum.mean(axis=ch.alias_axes))
+    low_pass = np.fft.ifftn(bank.bypass_hat * fhat)
     return CoefficientField(bank=bank, N=N, slots=slots, low_pass=low_pass)
 
 
@@ -184,20 +159,18 @@ def reconstruction_apply(
     """Apply the anchor-sampled reconstruction operator T (or its adjoint)."""
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    N = _check_offset(bank, N)
-    grid = bank.grid
+    _check_offset(bank, N)
     fhat = np.fft.fftn(f.values)
-    out_hat = (bypass_multiplier(bank).astype(complex) ** 2) * fhat
-    for j, k in anchored_scales(bank):
-        psi = lift_flag_filter(bank, j, k)
-        cell = psi * _cell_box_transfer(grid, j, k, N)
-        first, second = (psi, cell) if not adjoint else (np.conj(cell), psi)
-        conv = np.fft.ifftn(first * fhat)
-        sampled = np.zeros_like(conv)
-        sl = _anchor_slices(grid, j, k, N)
-        sampled[sl] = conv[sl]
-        out_hat = out_hat + second * np.fft.fftn(sampled)
-    return SampledFunction(grid, np.fft.ifftn(out_hat))
+    out_hat = bank.bypass_hat ** 2 * fhat
+    for ch in bank.anchored:
+        psi = _folded_filter(bank, ch)
+        spectrum = psi * fhat.reshape(ch.fold_shape)
+        if adjoint:
+            lattice = _cell_transfer(spectrum, ch, conj=True).mean(axis=ch.alias_axes, keepdims=True)
+        else:
+            lattice = _cell_transfer(spectrum.mean(axis=ch.alias_axes, keepdims=True), ch)
+        out_hat.reshape(ch.fold_shape)[...] += psi * lattice  # the reshape is a view
+    return SampledFunction(bank.grid, np.fft.ifftn(out_hat))
 
 
 def remainder_apply(
@@ -302,18 +275,14 @@ def neumann_inverse(
 
 
 def synthesize_discrete(coeffs: CoefficientField, bank: FilterBank) -> SampledFunction:
-    """Rebuild a function from anchor coefficients via cell-averaged filters."""
+    """Rebuild a function from anchor coefficients via cell-summed filters."""
     if coeffs.bank.grid != bank.grid:
         raise ShapeMismatchError("coefficient field and bank live on different grids")
     if set(coeffs.slots) != set(anchored_scales(bank)):
         raise ShapeMismatchError("coefficient slots do not match the bank's live anchored channels")
-    grid = bank.grid
-    N = coeffs.N
-    out_hat = bypass_multiplier(bank).astype(complex) * np.fft.fftn(coeffs.low_pass)
-    for j, k in anchored_scales(bank):
-        psi = lift_flag_filter(bank, j, k)
-        cell = psi * _cell_box_transfer(grid, j, k, N)
-        spread = np.zeros(grid.shape, dtype=complex)
-        spread[_anchor_slices(grid, j, k, N)] = coeffs.slots[(j, k)]
-        out_hat = out_hat + cell * np.fft.fftn(spread)
-    return SampledFunction(grid, np.fft.ifftn(out_hat))
+    _check_offset(bank, coeffs.N)
+    out_hat = bank.bypass_hat * np.fft.fftn(coeffs.low_pass)
+    for ch in bank.anchored:
+        lattice = np.expand_dims(np.fft.fftn(coeffs.slots[(ch.j, ch.k)]), ch.alias_axes)
+        out_hat.reshape(ch.fold_shape)[...] += _folded_filter(bank, ch) * _cell_transfer(lattice, ch)
+    return SampledFunction(bank.grid, np.fft.ifftn(out_hat))

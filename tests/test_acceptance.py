@@ -13,7 +13,6 @@ from flaglp import (analyze, builtin_kernel, convolution_operator_norm,
                     generate_candidates, neumann_inverse, pp_compare, sp_norm,
                     support_violations, synthesize_discrete,
                     validate_flag_kernel, validate_product_kernel)
-from flaglp.carleson import _slot_rect_measure
 from flaglp.filters import lift_flag_filter
 from flaglp.kernels import KernelSpec
 from flaglp.squarefuncs import g_flag_discrete
@@ -168,10 +167,11 @@ def test_acceptance_07_duality():
         slots = {key: np.zeros(flaglp.rectangle_counts(tiny_grid, key[0], key[1], 1),
                                dtype=complex) for key in scales}
         j, k = scales[which % len(scales)]
-        slots[(j, k)][which % slots[(j, k)].shape[0], 0] = 1.0
+        hot = (which % slots[(j, k)].shape[0], 0)
+        slots[(j, k)][hot] = 1.0
         t = CoefficientField(tiny_bank, 1, slots,
                              np.zeros(tiny_grid.shape, dtype=complex))
-        measure = _slot_rect_measure(tiny_grid, j, k, 1)
+        measure = flaglp.DyadicRectangle(j, k, 1, hot[:1], hot[1:]).measure(1, 1)
         oracle = float(np.sqrt(measure ** (1.0 - 2.0) * 1.0))
         exact &= cp_norm(t, 1.0, generate_candidates(t, 64)) == oracle
     report(7, single_c and exact,

@@ -3,7 +3,6 @@ import pytest
 
 import flaglp
 from flaglp import OpenSetApprox, analyze, cmo_norm, cp_norm, duality_pair, generate_candidates, sp_norm
-from flaglp.carleson import _slot_rect_measure
 from flaglp.errors import ConfigurationError, DomainError, ShapeMismatchError
 from flaglp.transform import CoefficientField, anchored_scales
 
@@ -27,9 +26,8 @@ def dense_sp_norm(coeffs, p):
     grid = coeffs.bank.grid
     total = np.zeros(grid.shape)
     for (j, k), slot in coeffs.slots.items():
-        w = _slot_rect_measure(grid, j, k, coeffs.N)
         for rect in flaglp.enumerate_rectangles(grid, j, k, coeffs.N):
-            value = abs(slot[rect.i_idx + rect.j_idx]) ** 2 / w
+            value = abs(slot[rect.i_idx + rect.j_idx]) ** 2 / rect.measure(grid.n, grid.m)
             total[rect.sample_slices(grid)] += value
     field = np.sqrt(total)
     return (np.sum(field ** p) * grid.cell_volume) ** (1.0 / p)
@@ -62,9 +60,10 @@ def test_cp_norm_one_hot_exhaustive_oracle(tiny):
                                    dtype=complex)
                      for key in anchored_scales(bank)}
             j, k = anchored_scales(bank)[which % len(anchored_scales(bank))]
-            slots[(j, k)][0, which % slots[(j, k)].shape[1]] = 1.5
+            hot = (0, which % slots[(j, k)].shape[1])
+            slots[(j, k)][hot] = 1.5
             t = CoefficientField(bank, bank.N, slots, np.zeros(grid.shape, dtype=complex))
-            measure = _slot_rect_measure(grid, j, k, bank.N)
+            measure = flaglp.DyadicRectangle(j, k, bank.N, hot[:1], hot[1:]).measure(1, 1)
             oracle = float(np.sqrt(measure ** (1.0 - 2.0 / p) * 1.5 ** 2))
             got = cp_norm(t, p, generate_candidates(t, 64))
             assert got == oracle

@@ -174,8 +174,46 @@ def test_synthesize_rejects_dead_slots(corpus_dir, tmp_path):
         payload = {name: data[name] for name in data.files}
     payload["slot_0_2"] = np.zeros_like(payload["slot_0_0"])
     np.savez(tmp_path / "dead.npz", **payload)
+    # a malformed coefficient file is an input error
     assert main(["synthesize", str(tmp_path / "dead.npz"),
-                 "--out", str(tmp_path / "synth")]) == 1
+                 "--out", str(tmp_path / "synth")]) == 2
+
+
+def test_synthesize_malformed_coeffs_exit_2(corpus_dir, tmp_path):
+    block = str(corpus_dir / "corpus-000.bin")
+    assert main(["analyze", block, "--dump-coeffs", "--out", str(tmp_path)]) == 0
+    with np.load(tmp_path / "coeffs.npz") as data:
+        good = {name: data[name] for name in data.files}
+    nan_slot = good["slot_0_0"].copy()
+    nan_slot[0, 0] = np.nan
+    inf_low_pass = good["low_pass"].copy()
+    inf_low_pass[1, 1] = np.inf
+    broken = {
+        "missing": {k: v for k, v in good.items() if k != "slot_0_0"},
+        "shape": dict(good, slot_0_0=good["slot_0_0"][:, :1]),
+        "nan-slot": dict(good, slot_0_0=nan_slot),
+        "inf-low-pass": dict(good, low_pass=inf_low_pass),
+        "no-meta": {k: v for k, v in good.items() if k != "meta"},
+    }
+    for name, payload in broken.items():
+        np.savez(tmp_path / f"{name}.npz", **payload)
+        code = main(["synthesize", str(tmp_path / f"{name}.npz"),
+                     "--out", str(tmp_path / name)])
+        assert code == 2, name
+
+
+def test_synthesize_rebuilds_the_analyzed_bank(corpus_dir, tmp_path):
+    block = str(corpus_dir / "corpus-000.bin")
+    cfg = tmp_path / "bank.cfg"
+    cfg.write_text("smoothness=3.0\ninner_radius=0.25\n")
+    assert main(["analyze", block, "--config", str(cfg), "--dump-coeffs",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["synthesize", str(tmp_path / "coeffs.npz"),
+                 "--out", str(tmp_path)]) == 0
+    analyzed = json.loads((tmp_path / "analyze.json").read_text())["bank"]
+    synthesized = json.loads((tmp_path / "synthesize.json").read_text())["bank"]
+    assert ":s3.0:" in analyzed
+    assert synthesized == analyzed
 
 
 def test_bad_arguments_exit_2(tmp_path):

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import flaglp
-from flaglp import CoefficientField, analyze, neumann_inverse, synthesize_continuous, synthesize_discrete
+from flaglp import (CoefficientField, analyze, neumann_inverse, reconstruction_apply,
+                    synthesize_continuous, synthesize_discrete)
 from flaglp.errors import ConfigurationError, DivergenceError, ShapeMismatchError
 from flaglp.filters import lift_flag_filter
-from flaglp.transform import (_anchor_slices, _cell_box_transfer, anchored_scales,
-                              band_projector, bypass_multiplier, channel_convolution,
-                              estimate_remainder_norm, low_pass_apply)
+from flaglp.transform import (_anchor_slices, anchored_scales, band_projector,
+                              channel_convolution, estimate_remainder_norm, low_pass_apply)
 
 from conftest import dense_cyclic_convolution, random_function
 
@@ -86,7 +86,7 @@ def test_partition_plancherel_exact(small):
 
 def test_bypass_plus_anchored_completes_partition(small):
     grid, bank = small
-    total = bypass_multiplier(bank) ** 2
+    total = bank.bypass_hat ** 2
     for j, k in anchored_scales(bank):
         total = total + lift_flag_filter(bank, j, k) ** 2
     assert float(np.max(np.abs(total - 1.0))) <= 1e-10
@@ -172,6 +172,93 @@ def test_synthesize_discrete_one_hot_atom(tiny):
         for v in range(step2):
             expect += np.roll(spatial, (step1 + u, step2 + v), axis=(0, 1))
     assert np.max(np.abs(out.values - expect)) <= 1e-12
+
+
+# (n, m, L): one grid per documented factor split, L small enough for 3-d
+FOLD_GRIDS = [(1, 1, 6), (2, 1, 5), (1, 2, 5)]
+
+
+def bypass_reference(bank):
+    power = bank.low_pass_hat ** 2
+    for j, k in bank.scales:
+        if j == bank.j_range[1]:
+            power = power + lift_flag_filter(bank, j, k) ** 2
+    return np.sqrt(power)
+
+
+def cell_transfer_reference(bank, j, k):
+    """fftn of the indicator of one anchor cell: the cell-sum multiplier."""
+    box = np.zeros(bank.grid.shape)
+    box[tuple(slice(0, sl.step) for sl in _anchor_slices(bank.grid, j, k, bank.N))] = 1.0
+    return np.fft.fftn(box)
+
+
+def zero_fill_reference(f, bank, adjoint=False):
+    """T (or T*) with full-grid FFTs, sampling by zero-filling off the anchors."""
+    fhat = np.fft.fftn(f.values)
+    out = bypass_reference(bank) ** 2 * fhat
+    for j, k in anchored_scales(bank):
+        psi = lift_flag_filter(bank, j, k)
+        cell = psi * cell_transfer_reference(bank, j, k)
+        first, second = (np.conj(cell), psi) if adjoint else (psi, cell)
+        conv = np.fft.ifftn(first * fhat)
+        sampled = np.zeros_like(conv)
+        anchors = _anchor_slices(bank.grid, j, k, bank.N)
+        sampled[anchors] = conv[anchors]
+        out = out + second * np.fft.fftn(sampled)
+    return np.fft.ifftn(out)
+
+
+@pytest.fixture(scope="module", params=[(n, m, L, N) for n, m, L in FOLD_GRIDS for N in (2, 3)],
+                ids=lambda p: "%d%d-L%d-N%d" % p)
+def fold_case(request):
+    n, m, L, N = request.param
+    grid = flaglp.make_grid(n, m, L)
+    bank = flaglp.build_filter_bank(grid, N=N)
+    return grid, bank, random_function(grid, 10 * n + m + N)
+
+
+def test_folded_analyze_matches_zero_fill(fold_case):
+    grid, bank, f = fold_case
+    coeffs = analyze(f, bank)
+    fhat = np.fft.fftn(f.values)
+    assert set(coeffs.slots) == set(anchored_scales(bank)) and coeffs.slots
+    for j, k in anchored_scales(bank):
+        conv = np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)
+        expect = conv[_anchor_slices(grid, j, k, bank.N)]
+        assert rel_l2(coeffs.slots[(j, k)], expect) <= 1e-12
+    assert rel_l2(coeffs.low_pass, np.fft.ifftn(bypass_reference(bank) * fhat)) <= 1e-12
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["T", "T*"])
+def test_folded_reconstruction_matches_zero_fill(fold_case, adjoint):
+    grid, bank, f = fold_case
+    got = reconstruction_apply(f, bank, adjoint=adjoint)
+    assert rel_l2(got.values, zero_fill_reference(f, bank, adjoint)) <= 1e-12
+
+
+def test_folded_synthesis_matches_zero_fill(fold_case):
+    grid, bank, f = fold_case
+    coeffs = analyze(f, bank).map_slots(lambda j, k, slot: slot * (1.0 + 0.5j) - 0.25)
+    expect_hat = bypass_reference(bank) * np.fft.fftn(coeffs.low_pass)
+    for j, k in anchored_scales(bank):
+        spread = np.zeros(grid.shape, dtype=complex)
+        spread[_anchor_slices(grid, j, k, bank.N)] = coeffs.slots[(j, k)]
+        cell = lift_flag_filter(bank, j, k) * cell_transfer_reference(bank, j, k)
+        expect_hat = expect_hat + cell * np.fft.fftn(spread)
+    got = synthesize_discrete(coeffs, bank)
+    assert rel_l2(got.values, np.fft.ifftn(expect_hat)) <= 1e-12
+
+
+def test_reconstruction_adjointness(fold_case):
+    # <T f, g> = <f, T* g>; the power iteration of estimate_remainder_norm
+    # relies on it
+    grid, bank, f = fold_case
+    g = random_function(grid, 99)
+    lhs = np.vdot(g.values, reconstruction_apply(f, bank).values)
+    rhs = np.vdot(reconstruction_apply(g, bank, adjoint=True).values, f.values)
+    scale = np.linalg.norm(reconstruction_apply(f, bank).values) * np.linalg.norm(g.values)
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_synthesize_discrete_zero(tiny):

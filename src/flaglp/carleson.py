@@ -10,10 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import block_expand, block_reduce
+from .blocks import block_expand, block_reduce, block_sizes
 from .errors import ConfigurationError, DomainError, ShapeMismatchError
-from .filters import FilterBank, lift_flag_filter
+from .filters import FilterBank
 from .grid import DyadicRectangle, Grid, SampledFunction, lp_norm_array
+from .squarefuncs import _channel_energies
 from .transform import CoefficientField, _check_offset
 
 
@@ -51,9 +52,29 @@ def sp_norm(s: CoefficientField, p: float) -> float:
     return lp_norm_array(np.sqrt(_density_field(s)), p, s.bank.grid.cell_volume)
 
 
-def _contained_mask(omega: OpenSetApprox, j: int, k: int, N: int) -> np.ndarray:
-    """Boolean per-rectangle array: True iff the rectangle lies inside omega."""
-    return block_reduce(omega.cell_mask, omega.grid, j, k, N, np.min)
+def _carleson_max(weights: dict, p: float, candidates: list, grid: Grid, N: int) -> float:
+    """Max over candidates of (|Omega|^(1-2/p) * sum of the weights inside Omega)^(1/2).
+
+    weights maps (j, k) to one value per rectangle.  Dyadic blocks nest, so
+    containment at every scale is reduced from one np.min pass over the
+    cell mask at the finest per-axis block side.
+    """
+    sizes = {key: block_sizes(grid, *key, N) for key in weights}
+    finest = tuple(map(min, zip(*sizes.values()))) or (1,) * grid.ndim
+    best = 0.0
+    for omega in candidates:
+        if omega.grid != grid:
+            raise ShapeMismatchError("candidate lives on a different grid")
+        fine = block_reduce(omega.cell_mask, finest, np.min)
+        inside = {s: block_reduce(fine, [a // b for a, b in zip(s, finest)], np.min)
+                  for s in set(sizes.values())}
+        total = 0.0
+        for key, w in weights.items():
+            mask = inside[sizes[key]]
+            if mask.any():
+                total += float(np.sum(w[mask]))
+        best = max(best, float(np.sqrt(omega.measure ** (1.0 - 2.0 / p) * total)))
+    return best
 
 
 def cp_norm(t: CoefficientField, p: float, candidates: list) -> float:
@@ -62,18 +83,8 @@ def cp_norm(t: CoefficientField, p: float, candidates: list) -> float:
         raise DomainError(f"cp_norm requires p in (0, 1], got {p}")
     if not candidates:
         raise ConfigurationError("cp_norm needs a nonempty candidate family")
-    best = 0.0
-    for omega in candidates:
-        if omega.grid != t.bank.grid:
-            raise ShapeMismatchError("candidate lives on a different grid")
-        total = 0.0
-        for (j, k), slot in t.slots.items():
-            inside = _contained_mask(omega, j, k, t.N)
-            if inside.any():
-                total += float(np.sum(np.abs(slot[inside]) ** 2))
-        value = np.sqrt(omega.measure ** (1.0 - 2.0 / p) * total)
-        best = max(best, float(value))
-    return best
+    weights = {key: np.abs(slot) ** 2 for key, slot in t.slots.items()}
+    return _carleson_max(weights, p, candidates, t.bank.grid, t.N)
 
 
 def cmo_norm(
@@ -96,22 +107,11 @@ def cmo_norm(
         raise ShapeMismatchError("function and bank live on different grids")
     N = _check_offset(bank, N)
     grid = bank.grid
-    fhat = np.fft.fftn(f.values)
-    cell_sums = {}
-    for j, k in bank.scales:
-        conv = np.abs(np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)) ** 2
-        cell_sums[(j, k)] = block_reduce(conv, grid, j, k, N, np.sum) * grid.cell_volume
-    best = 0.0
-    for omega in candidates:
-        if omega.grid != grid:
-            raise ShapeMismatchError("candidate lives on a different grid")
-        total = 0.0
-        for (j, k), sums in cell_sums.items():
-            inside = _contained_mask(omega, j, k, N)
-            if inside.any():
-                total += float(np.sum(sums[inside]))
-        best = max(best, float(np.sqrt(omega.measure ** (1.0 - 2.0 / p) * total)))
-    return best
+    cell_sums = {
+        (j, k): block_reduce(energy, block_sizes(grid, j, k, N), np.sum) * grid.cell_volume
+        for j, k, energy in _channel_energies(f, bank, bank.scales)
+    }
+    return _carleson_max(cell_sums, p, candidates, grid, N)
 
 
 def duality_pair(s: CoefficientField, t: CoefficientField):
@@ -133,7 +133,7 @@ def _density_field(t: CoefficientField) -> np.ndarray:
     total = np.zeros(grid.shape)
     for (j, k), slot in t.slots.items():
         w = _rect_from_slot_index(grid, j, k, t.N, 0, slot.shape).measure(grid.n, grid.m)
-        total += block_expand(np.abs(slot) ** 2, grid, j, k, t.N) / w
+        total += block_expand(np.abs(slot) ** 2, block_sizes(grid, j, k, t.N)) / w
     return total
 
 

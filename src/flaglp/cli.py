@@ -175,6 +175,8 @@ def cmd_synthesize(args):
                                  % (args.input, exc)) from None
     out = _out_dir(args)
     write_block(os.path.join(out, "synthesized.bin"), f)
+    # the bank and its offset come from the coefficient file, not from options
+    args.offset = coeffs.N
     report = _report_header("synthesize", args, grid, bank)
     report["l2_norm"] = lp_norm(f, 2.0)
     _write_report(os.path.join(out, "synthesize.json"), report)
@@ -427,7 +429,7 @@ def build_parser():
 
     p = subs.add_parser("synthesize", help="rebuild a block from coefficients")
     p.add_argument("input", help="coeffs.npz written by analyze --dump-coeffs")
-    _add_common(p)
+    p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(func=cmd_synthesize)
 
     p = subs.add_parser("squarefunc", help="pointwise square function")

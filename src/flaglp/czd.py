@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_reduce
+from .blocks import block_reduce, block_sizes
 from .errors import DomainError
 from .filters import FilterBank
 from .grid import SampledFunction, lp_norm
@@ -93,7 +93,7 @@ def cz_decompose(
     for (j, k), slot in coeffs.slots.items():
         cls = np.zeros(slot.shape, dtype=int)
         for mask in level_masks:
-            frac = block_reduce(mask.astype(float), grid, j, k, N, np.mean)
+            frac = block_reduce(mask.astype(float), block_sizes(grid, j, k, N), np.mean)
             cls += (frac >= 0.5).astype(int)
         rect_classes[(j, k)] = cls
 
@@ -159,7 +159,7 @@ def support_violations(report: CZReport, bank: FilterBank, threshold: float = 0.
         # the dilation depends only on the level: one strong maximal per level
         dilated = dilated_level_set(previous, grid, threshold)
         for (j, k), m in members.items():
-            inside = block_reduce(dilated, grid, j, k, report.N, np.min)
+            inside = block_reduce(dilated, block_sizes(grid, j, k, report.N), np.min)
             violations += int(np.sum(m & ~inside))
     return violations
 

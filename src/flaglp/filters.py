@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .blocks import block_shape
+from .blocks import block_sizes
 from .errors import ConfigurationError, RangeError, ResolutionError
 from .grid import Grid, SampledFunction
 
@@ -115,8 +115,7 @@ class FilterBank:
         for j, k in self.scales:
             if j == self.j_range[1]:
                 continue
-            step1, step2 = block_shape(grid, j, k, self.N)
-            steps = (step1,) * grid.n + (step2,) * grid.m
+            steps = block_sizes(grid, j, k, self.N)
             cell = tuple(
                 np.fft.fft(np.arange(M) < s).reshape((1, 1) * ax + (s, M // s) + (1, 1) * (grid.ndim - ax - 1))
                 for ax, s in enumerate(steps)

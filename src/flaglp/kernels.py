@@ -33,9 +33,10 @@ import math
 import numpy as np
 from scipy import integrate
 
+from .blocks import block_reduce
 from .errors import DomainError, IntegrationError, KernelError, TruncationError
 from .grid import SampledFunction
-from .maximal import strong_maximal
+from .maximal import _iterated_mean, strong_maximal
 
 SUPPORT_KINDS = ("product", "flag", "none")
 
@@ -455,29 +456,22 @@ def majorant_check(f, kernel, eps, max_level=None):
 
     Smoothing runs over dyadic block shapes (the sampled two-parameter
     dilation lattice); the fitted constant is the worst pointwise ratio.
+    Division is monotone, so a block's worst ratio uses its least majorant.
     """
     grid = f.grid
     conv = flag_convolve(f, kernel, eps)
     majorant = strong_maximal(f).values.real
     floor = 1e-13 * max(float(np.max(majorant)), _TINY)
+    denominator = np.maximum(majorant, floor)
     if max_level is None:
         max_level = grid.samples_per_axis.bit_length() - 2
     per_level = {}
     worst = 0.0
     for e1 in range(max_level + 1):
         for e2 in range(max_level + 1):
-            shape = tuple([2 ** e1] * grid.n + [2 ** e2] * grid.m)
-            means = conv.values
-            for axis, factor in enumerate(shape):
-                stacked = means.reshape(
-                    means.shape[:axis]
-                    + (means.shape[axis] // factor, factor)
-                    + means.shape[axis + 1:])
-                means = stacked.mean(axis=axis + 1)
-            smoothed = np.abs(means)
-            for axis, factor in enumerate(shape):
-                smoothed = np.repeat(smoothed, factor, axis=axis)
-            ratio = smoothed / np.maximum(majorant, floor)
+            sizes = (2 ** e1,) * grid.n + (2 ** e2,) * grid.m
+            smoothed = np.abs(_iterated_mean(conv.values, sizes))
+            ratio = smoothed / block_reduce(denominator, sizes, np.min)
             per_level[(e1, e2)] = float(np.max(ratio))
             worst = max(worst, per_level[(e1, e2)])
     return {"kernel": kernel.name, "eps": eps,

@@ -2,14 +2,17 @@
 
 Both operators range over dyadic families (DD-M1): cubes use one block
 exponent shared by every axis, rectangles use independent per-axis dyadic
-side lengths.  Averages are computed exactly by pyramid block means, so
-the sup over the declared family is exact, not sampled.
+side lengths.  Averages are per-axis block means, one axis at a time,
+and the sup runs from the coarsest block side to the finest, each level
+taking the max with the coarser result expanded by 2, so the sup over
+the declared family is exact, not sampled.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import block_expand, block_reduce
 from .errors import ConfigurationError, DomainError, ShapeMismatchError
 from .grid import Grid, SampledFunction, lp_norm
 
@@ -26,15 +29,17 @@ class MaximalConfig:
             raise ConfigurationError("dilation cap must lie in (0, 1]")
 
 
-def _block_mean_expand(arr: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Average over aligned blocks of `size` samples along one axis, expanded back."""
-    if size == 1:
-        return arr
-    M = arr.shape[axis]
-    shape = list(arr.shape)
-    shape[axis : axis + 1] = [M // size, size]
-    reduced = arr.reshape(shape).mean(axis=axis + 1)
-    return np.repeat(reduced, size, axis=axis)
+def _along(ndim: int, axis: int, size: int) -> tuple:
+    """Block sides that are `size` along one axis and 1 along the others."""
+    return (1,) * axis + (size,) + (1,) * (ndim - axis - 1)
+
+
+def _iterated_mean(arr: np.ndarray, sizes) -> np.ndarray:
+    """Means over aligned blocks with sides `sizes`, taken one axis at a time in axis order."""
+    for axis, size in enumerate(sizes):
+        if size > 1:
+            arr = block_reduce(arr, _along(arr.ndim, axis, size), np.mean)
+    return arr
 
 
 def _max_levels(grid: Grid, dilation_cap: float) -> int:
@@ -45,31 +50,33 @@ def _max_levels(grid: Grid, dilation_cap: float) -> int:
 def hl_maximal(f: SampledFunction, config: MaximalConfig = MaximalConfig("dyadic-cubes")) -> SampledFunction:
     """Dyadic Hardy-Littlewood maximal function (cube family)."""
     grid = f.grid
-    a0 = np.abs(f.values)
-    out = np.zeros(grid.shape)
-    for t in range(_max_levels(grid, config.dilation_cap) + 1):
-        a = a0
-        for ax in range(grid.ndim):
-            a = _block_mean_expand(a, ax, 2**t)
-        np.maximum(out, a, out=out)
-    return SampledFunction(grid, out)
+    a = np.abs(f.values)
+    out = None
+    for t in range(_max_levels(grid, config.dilation_cap), -1, -1):
+        means = _iterated_mean(a, (2**t,) * grid.ndim)
+        out = means if out is None else np.maximum(means, block_expand(out, (2,) * grid.ndim))
+    # None when no dyadic block fits under the cap: the sup over an empty family is 0
+    return SampledFunction(grid, np.zeros(grid.shape) if out is None else out)
 
 
 def strong_maximal(f: SampledFunction, config: MaximalConfig = MaximalConfig()) -> SampledFunction:
     """Dyadic strong maximal function (independent per-axis side lengths)."""
     grid = f.grid
     levels = _max_levels(grid, config.dilation_cap)
-    out = np.zeros(grid.shape)
 
-    def recurse(arr: np.ndarray, axis: int):
+    def sup_from(arr: np.ndarray, axis: int) -> np.ndarray:
+        """Max over the block sides of axes >= axis, at full resolution along them."""
         if axis == grid.ndim:
-            np.maximum(out, arr, out=out)
-            return
-        for t in range(levels + 1):
-            recurse(_block_mean_expand(arr, axis, 2**t), axis + 1)
+            return arr
+        out = None
+        for t in range(levels, -1, -1):
+            sup = sup_from(_iterated_mean(arr, _along(grid.ndim, axis, 2**t)), axis + 1)
+            out = sup if out is None else np.maximum(sup, block_expand(out, _along(grid.ndim, axis, 2)))
+        return out
 
-    recurse(np.abs(f.values), 0)
-    return SampledFunction(grid, out)
+    sup = sup_from(np.abs(f.values), 0)
+    # None when no dyadic block fits under the cap: the sup over an empty family is 0
+    return SampledFunction(grid, np.zeros(grid.shape) if sup is None else sup)
 
 
 def dilated_level_set(mask: np.ndarray, grid: Grid, threshold: float = 0.5) -> np.ndarray:

@@ -4,22 +4,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import block_expand, block_reduce
+from .blocks import block_expand, block_reduce, block_sizes
 from .errors import DomainError, ShapeMismatchError
 from .filters import FilterBank, lift_flag_filter
 from .grid import SampledFunction, lp_norm
 from .transform import CoefficientField, analyze, anchored_scales
 
 
+def _channel_energies(f: SampledFunction, bank: FilterBank, scales):
+    """Yield (j, k, |psi_jk * f|^2 on the full grid) for every scale in turn."""
+    fhat = np.fft.fftn(f.values)
+    for j, k in scales:
+        yield j, k, np.abs(np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)) ** 2
+
+
 def g_flag(f: SampledFunction, bank: FilterBank) -> SampledFunction:
     """Pointwise l2 aggregate of all channel convolutions (low-pass excluded)."""
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    fhat = np.fft.fftn(f.values)
     total = np.zeros(f.grid.shape)
-    for j, k in bank.scales:
-        conv = np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)
-        total += np.abs(conv) ** 2
+    for _, _, energy in _channel_energies(f, bank, bank.scales):
+        total += energy
     return SampledFunction(f.grid, np.sqrt(total))
 
 
@@ -28,7 +33,7 @@ def g_flag_discrete(coeffs: CoefficientField) -> SampledFunction:
     grid = coeffs.bank.grid
     total = np.zeros(grid.shape)
     for (j, k), slot in coeffs.slots.items():
-        total += block_expand(np.abs(slot) ** 2, grid, j, k, coeffs.N)
+        total += block_expand(np.abs(slot) ** 2, block_sizes(grid, j, k, coeffs.N))
     return SampledFunction(grid, np.sqrt(total))
 
 
@@ -58,13 +63,12 @@ class PPReport:
 def _extreme_square_function(
     f: SampledFunction, bank: FilterBank, N: int, op
 ) -> SampledFunction:
-    fhat = np.fft.fftn(f.values)
     grid = f.grid
     total = np.zeros(grid.shape)
     # same rectangle family as the anchor-sampled square function
-    for j, k in anchored_scales(bank):
-        conv = np.abs(np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)) ** 2
-        total += block_expand(block_reduce(conv, grid, j, k, N, op), grid, j, k, N)
+    for j, k, energy in _channel_energies(f, bank, anchored_scales(bank)):
+        sizes = block_sizes(grid, j, k, N)
+        total += block_expand(block_reduce(energy, sizes, op), sizes)
     return SampledFunction(grid, np.sqrt(total))
 
 

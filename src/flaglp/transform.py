@@ -34,7 +34,7 @@ from .errors import (
     DivergenceError,
     ShapeMismatchError,
 )
-from .blocks import block_shape
+from .blocks import block_sizes
 from .filters import FilterBank, lift_flag_filter
 from .grid import Grid, SampledFunction, rectangle_index_shape
 
@@ -76,8 +76,7 @@ class CoefficientField:
 
 
 def _anchor_slices(grid: Grid, j: int, k: int, N: int) -> tuple:
-    step1, step2 = block_shape(grid, j, k, N)
-    return (slice(None, None, step1),) * grid.n + (slice(None, None, step2),) * grid.m
+    return tuple(slice(None, None, s) for s in block_sizes(grid, j, k, N))
 
 
 def anchored_scales(bank: FilterBank) -> list:

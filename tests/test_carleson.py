@@ -3,7 +3,9 @@ import pytest
 
 import flaglp
 from flaglp import OpenSetApprox, analyze, cmo_norm, cp_norm, duality_pair, generate_candidates, sp_norm
+from flaglp.blocks import block_reduce, block_sizes
 from flaglp.errors import ConfigurationError, DomainError, ShapeMismatchError
+from flaglp.grid import rectangle_index_shape
 from flaglp.transform import CoefficientField, anchored_scales
 
 from conftest import random_function
@@ -98,6 +100,58 @@ def test_cmo_norm_monotone_and_homogeneous(small):
     scaled = cmo_norm(flaglp.SampledFunction(grid, 2.0 * f.values), bank, 1.0,
                       candidates=candidates)
     assert scaled == pytest.approx(2.0 * many, rel=1e-10)
+
+
+def rectangles_inside(omega, j, k, N):
+    """Per-rectangle minimum of the cell mask, one enumerated rectangle at a time."""
+    grid = omega.grid
+    inside = np.zeros(rectangle_index_shape(grid, j, k, N), dtype=bool)
+    for rect in flaglp.enumerate_rectangles(grid, j, k, N):
+        inside[rect.i_idx + rect.j_idx] = omega.cell_mask[rect.sample_slices(grid)].min()
+    return inside
+
+
+def carleson_reference(weights, p, candidates, N):
+    """Max over candidates of (|Omega|^(1-2/p) * sum of the weights inside Omega)^(1/2)."""
+    best = 0.0
+    for omega in candidates:
+        total = 0.0
+        for (j, k), w in weights.items():
+            inside = rectangles_inside(omega, j, k, N)
+            if inside.any():
+                total += float(np.sum(w[inside]))
+        best = max(best, float(np.sqrt(omega.measure ** (1.0 - 2.0 / p) * total)))
+    return best
+
+
+@pytest.mark.parametrize("n,m,L", [(1, 1, 5), (2, 1, 4), (1, 2, 4)])
+def test_containment_matches_enumerated_rectangles(n, m, L):
+    grid = flaglp.make_grid(n, m, L)
+    bank = flaglp.build_filter_bank(grid, N=1)
+    f = random_function(grid, 41 + n)
+    t = analyze(f, bank)
+    # generated candidates are unions of rectangles; add sets cutting through blocks
+    rng = np.random.default_rng(n)
+    shifted = np.zeros(grid.shape, dtype=bool)
+    shifted[(slice(1, -3),) * grid.ndim] = True
+    candidates = generate_candidates(t, 12) + [
+        OpenSetApprox(grid=grid, cell_mask=rng.uniform(size=grid.shape) < 0.9),
+        OpenSetApprox(grid=grid, cell_mask=shifted),
+    ]
+    coeff_weights = {key: np.abs(slot) ** 2 for key, slot in t.slots.items()}
+    # cell sums of |psi * f|^2 computed as cmo_norm does; only containment differs
+    fhat = np.fft.fftn(f.values)
+    cell_sums = {
+        (j, k): block_reduce(np.abs(np.fft.ifftn(flaglp.lift_flag_filter(bank, j, k) * fhat)) ** 2,
+                             block_sizes(grid, j, k, bank.N), np.sum) * grid.cell_volume
+        for j, k in bank.scales
+    }
+    # one candidate at a time, so the max cannot hide a wrong value
+    for family in [[omega] for omega in candidates] + [candidates]:
+        for p in (0.7, 1.0):
+            assert cp_norm(t, p, family) == carleson_reference(coeff_weights, p, family, bank.N)
+            assert cmo_norm(f, bank, p, candidates=family) == carleson_reference(
+                cell_sums, p, family, bank.N)
 
 
 def test_duality_pairing_matches_direct_sum(tiny):

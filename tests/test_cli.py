@@ -216,6 +216,21 @@ def test_synthesize_rebuilds_the_analyzed_bank(corpus_dir, tmp_path):
     assert synthesized == analyzed
 
 
+def test_synthesize_takes_its_bank_and_offset_from_the_file(corpus_dir, tmp_path):
+    block = str(corpus_dir / "corpus-000.bin")
+    assert main(["analyze", block, "--offset", "2", "--dump-coeffs",
+                 "--out", str(tmp_path)]) == 0
+    coeffs = str(tmp_path / "coeffs.npz")
+    # bank options would be ignored, so they are refused
+    for extra in (["--bank", "smoothness=3.0"], ["--config", str(tmp_path / "analyze.json")],
+                  ["--offset", "3"]):
+        assert main(["synthesize", coeffs, *extra, "--out", str(tmp_path / "x")]) == 2
+    assert main(["synthesize", coeffs, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "synthesize.json").read_text())
+    assert report["config"] == {"input": coeffs, "offset": 2, "subcommand": "synthesize"}
+    assert report["bank"] == json.loads((tmp_path / "analyze.json").read_text())["bank"]
+
+
 def test_bad_arguments_exit_2(tmp_path):
     assert main(["no-such-command"]) == 2
 

@@ -75,6 +75,37 @@ def test_majorant_check_structure(tiny):
     assert all(np.isfinite(v) for v in report["per_level"].values())
 
 
+def expanded_majorant_levels(f, kernel, eps, max_level):
+    """Per-level worst ratio, dividing the block means expanded back to the full grid."""
+    grid = f.grid
+    conv = flag_convolve(f, kernel, eps).values
+    majorant = flaglp.strong_maximal(f).values.real
+    denominator = np.maximum(majorant, 1e-13 * max(float(np.max(majorant)), 1e-300))
+    per_level = {}
+    for e1 in range(max_level + 1):
+        for e2 in range(max_level + 1):
+            sides = [2 ** e1] * grid.n + [2 ** e2] * grid.m
+            means = conv
+            for axis, side in enumerate(sides):
+                split = means.shape[:axis] + (means.shape[axis] // side, side) + means.shape[axis + 1:]
+                means = means.reshape(split).mean(axis=axis + 1)
+            smoothed = np.abs(means)
+            for axis, side in enumerate(sides):
+                smoothed = np.repeat(smoothed, side, axis=axis)
+            per_level[(e1, e2)] = float(np.max(smoothed / denominator))
+    return per_level
+
+
+def test_majorant_levels_match_full_grid_division():
+    grid = flaglp.make_grid(1, 1, 5)
+    f = random_function(grid, 6)
+    for kernel in (builtin_kernel("k2-flag"), k2_odd_part()):
+        report = majorant_check(f, kernel, 2 * grid.spacing)
+        expect = expanded_majorant_levels(f, kernel, 2 * grid.spacing, grid.L - 1)
+        assert report["per_level"] == expect
+        assert report["fitted_c"] == max(expect.values())
+
+
 def test_projection_separable_bump_oracle():
     # K#(x, u, z) smooth and separable: the projection integral has a
     # dense trapezoid oracle

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,33 @@ def test_hl_maximal_exhaustive_oracle(tiny):
     assert np.array_equal(got, oracle)
 
 
+def enumerated_maximal(values, cubes_only=False):
+    """Max mean of |values| over every aligned dyadic block, in any dimension."""
+    a = np.abs(values)
+    M = a.shape[0]
+    exponents = range(int(np.log2(M)) + 1)
+    if cubes_only:
+        side_tuples = [(2 ** t,) * a.ndim for t in exponents]
+    else:
+        side_tuples = [tuple(2 ** t for t in ts) for ts in product(exponents, repeat=a.ndim)]
+    out = np.zeros(a.shape)
+    for sides in side_tuples:
+        for corner in product(*(range(0, M, s) for s in sides)):
+            block = tuple(slice(c, c + s) for c, s in zip(corner, sides))
+            out[block] = np.maximum(out[block], a[block].mean())
+    return out
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 2)])
+@pytest.mark.parametrize("cubes_only", [False, True])
+def test_maximal_exhaustive_oracle_beyond_two_dimensions(n, m, cubes_only):
+    grid = flaglp.make_grid(n, m, 3)
+    f = random_function(grid, 22 + n)
+    maximal = hl_maximal if cubes_only else strong_maximal
+    got = maximal(f).values.real
+    assert np.allclose(got, enumerated_maximal(f.values, cubes_only), rtol=1e-12, atol=0.0)
+
+
 def test_constant_function_fixed_point(tiny):
     grid, _ = tiny
     f = flaglp.SampledFunction(grid, np.full(grid.shape, 2.5 + 0.0j))
@@ -97,6 +126,9 @@ def test_dilation_cap_limits_family(tiny):
     capped = strong_maximal(f, MaximalConfig(dilation_cap=0.25)).values.real
     full = strong_maximal(f).values.real
     assert np.all(capped <= full + 1e-15)
+    # a cap below one sample admits no block, and the sup over no block is 0
+    assert not strong_maximal(f, MaximalConfig(dilation_cap=0.1)).values.any()
+    assert not hl_maximal(f, MaximalConfig("dyadic-cubes", 0.1)).values.any()
 
 
 def test_fs_vector_check_arguments(tiny):

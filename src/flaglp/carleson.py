@@ -15,7 +15,7 @@ from .errors import ConfigurationError, DomainError, ShapeMismatchError
 from .filters import FilterBank
 from .grid import DyadicRectangle, Grid, SampledFunction, lp_norm_array
 from .squarefuncs import _channel_energies
-from .transform import CoefficientField, _check_offset
+from .transform import CoefficientField
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,15 @@ def sp_norm(s: CoefficientField, p: float) -> float:
     return lp_norm_array(np.sqrt(_density_field(s)), p, s.bank.grid.cell_volume)
 
 
-def _carleson_max(weights: dict, p: float, candidates: list, grid: Grid, N: int) -> float:
+def _carleson_max(weights: dict, p: float, candidates: list, bank: FilterBank) -> float:
     """Max over candidates of (|Omega|^(1-2/p) * sum of the weights inside Omega)^(1/2).
 
     weights maps (j, k) to one value per rectangle.  Dyadic blocks nest, so
     containment at every scale is reduced from one np.min pass over the
     cell mask at the finest per-axis block side.
     """
-    sizes = {key: block_sizes(grid, *key, N) for key in weights}
+    grid = bank.grid
+    sizes = {key: block_sizes(grid, *key, bank.N) for key in weights}
     finest = tuple(map(min, zip(*sizes.values()))) or (1,) * grid.ndim
     best = 0.0
     for omega in candidates:
@@ -84,16 +85,10 @@ def cp_norm(t: CoefficientField, p: float, candidates: list) -> float:
     if not candidates:
         raise ConfigurationError("cp_norm needs a nonempty candidate family")
     weights = {key: np.abs(slot) ** 2 for key, slot in t.slots.items()}
-    return _carleson_max(weights, p, candidates, t.bank.grid, t.N)
+    return _carleson_max(weights, p, candidates, t.bank)
 
 
-def cmo_norm(
-    f: SampledFunction,
-    bank: FilterBank,
-    p: float,
-    N: int = None,
-    candidates: list = None,
-) -> float:
+def cmo_norm(f: SampledFunction, bank: FilterBank, p: float, candidates: list) -> float:
     """Carleson-sum norm of a function over the candidate family.
 
     The per-rectangle contribution is the exact cell sum of the full-grid
@@ -101,17 +96,16 @@ def cmo_norm(
     """
     if not (0 < p <= 1):
         raise DomainError(f"cmo_norm requires p in (0, 1], got {p}")
-    if candidates is None or not candidates:
+    if not candidates:
         raise ConfigurationError("cmo_norm needs a nonempty candidate family")
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    N = _check_offset(bank, N)
     grid = bank.grid
     cell_sums = {
-        (j, k): block_reduce(energy, block_sizes(grid, j, k, N), np.sum) * grid.cell_volume
+        (j, k): block_reduce(energy, block_sizes(grid, j, k, bank.N), np.sum) * grid.cell_volume
         for j, k, energy in _channel_energies(f, bank, bank.scales)
     }
-    return _carleson_max(cell_sums, p, candidates, grid, N)
+    return _carleson_max(cell_sums, p, candidates, bank)
 
 
 def duality_pair(s: CoefficientField, t: CoefficientField):

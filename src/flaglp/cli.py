@@ -80,21 +80,17 @@ def _write_report(path, report):
         fh.write("\n")
 
 
-def _offset(args):
-    """--offset, or DEFAULT_OFFSET when neither it nor a bank has set it."""
-    return DEFAULT_OFFSET if args.offset is None else args.offset
-
-
 def _bank_for(grid, args):
     """Bank from --config and --bank; --offset supplies N unless n_offset does.
 
-    Records the bank's N in args.offset, so commands and the report use it.
+    Records the bank's N in args.offset, so the report shows it.
     """
     text = args.bank
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read() + "\n" + text
-    bank = bank_from_config(grid, text, _offset(args))
+    offset = DEFAULT_OFFSET if args.offset is None else args.offset
+    bank = bank_from_config(grid, text, offset)
     if args.offset is not None and args.offset != bank.N:
         raise ConfigurationError(
             "--offset %d conflicts with n_offset=%d in the bank configuration"
@@ -108,7 +104,6 @@ def _report_header(command, args, grid=None, bank=None):
     # byte-identical reports across runs
     config = {key: value for key, value in sorted(vars(args).items())
               if key not in ("func", "out")}
-    config["offset"] = _offset(args)
     out = {"command": command, "version": __version__, "config": config}
     if grid is not None:
         out["grid"] = {"n": grid.n, "m": grid.m, "L": grid.L}
@@ -131,7 +126,7 @@ def _out_dir(args):
 def cmd_analyze(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
-    coeffs = analyze(f, bank, args.offset)
+    coeffs = analyze(f, bank)
     out = _out_dir(args)
     report = _report_header("analyze", args, f.grid, bank)
     channels = {}
@@ -149,7 +144,7 @@ def cmd_analyze(args):
         payload["low_pass"] = coeffs.low_pass
         payload["meta"] = np.bytes_(json.dumps({
             "n": f.grid.n, "m": f.grid.m, "L": f.grid.L,
-            "offset": coeffs.N, "bank": bank.config(),
+            "offset": bank.N, "bank": bank.config(),
         }).encode("utf-8"))
         np.savez(os.path.join(out, "coeffs.npz"), **payload)
     _write_report(os.path.join(out, "analyze.json"), report)
@@ -167,7 +162,7 @@ def cmd_synthesize(args):
                 if name.startswith("slot_"):
                     _, j, k = name.split("_")
                     slots[(int(j), int(k))] = data[name]
-            coeffs = CoefficientField(bank, meta["offset"], slots, data["low_pass"])
+            coeffs = CoefficientField(bank, slots, data["low_pass"])
         f = synthesize_discrete(coeffs, bank)
     except (KeyError, ValueError, FlagLPError) as exc:
         # everything above reads only the file: an input error, not a failed validation
@@ -176,7 +171,7 @@ def cmd_synthesize(args):
     out = _out_dir(args)
     write_block(os.path.join(out, "synthesized.bin"), f)
     # the bank and its offset come from the coefficient file, not from options
-    args.offset = coeffs.N
+    args.offset = bank.N
     report = _report_header("synthesize", args, grid, bank)
     report["l2_norm"] = lp_norm(f, 2.0)
     _write_report(os.path.join(out, "synthesize.json"), report)
@@ -199,7 +194,7 @@ def cmd_squarefunc(args):
 def cmd_hardy_norm(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
-    value = hardy_norm(f, bank, args.p, args.offset)
+    value = hardy_norm(f, bank, args.p)
     out = _out_dir(args)
     report = _report_header("hardy-norm", args, f.grid, bank)
     report["p"] = args.p
@@ -211,12 +206,12 @@ def cmd_hardy_norm(args):
 def cmd_cmo_norm(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
-    coeffs = analyze(f, bank, args.offset)
+    coeffs = analyze(f, bank)
     budget = args.candidates
     if args.auto_budget:
         budget = max(8, f.grid.samples_per_axis)
     candidates = generate_candidates(coeffs, budget)
-    value = cmo_norm(f, bank, args.p, args.offset, candidates)
+    value = cmo_norm(f, bank, args.p, candidates)
     out = _out_dir(args)
     report = _report_header("cmo-norm", args, f.grid, bank)
     report["p"] = args.p
@@ -243,9 +238,8 @@ def cmd_maximal(args):
 def cmd_cz_decompose(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
-    good, bad, rep = cz_decompose(f, bank, args.alpha, args.offset,
-                                  p=args.p, p1=args.p1, p2=args.p2,
-                                  tol=args.tol)
+    good, bad, rep = cz_decompose(f, bank, args.alpha, p=args.p, p1=args.p1,
+                                  p2=args.p2, tol=args.tol)
     out = _out_dir(args)
     write_block(os.path.join(out, "good.bin"), good)
     write_block(os.path.join(out, "bad.bin"), bad)
@@ -360,11 +354,11 @@ def _verify_remainder_decay(L):
 def _verify_roundtrip(L, seed=13):
     grid = make_grid(1, 1, L)
     bank = build_filter_bank(grid, FilterProfile(), 3)
-    functions, _ = gen_corpus(grid, 4, seed, bank=bank, N=3)
+    functions, _ = gen_corpus(grid, 4, seed, bank=bank)
     worst = 0.0
     for f in functions:
-        inverted, _ = neumann_inverse(f, bank, 3, tol=1e-8)
-        back = synthesize_discrete(analyze(inverted, bank, 3), bank)
+        inverted, _ = neumann_inverse(f, bank, tol=1e-8)
+        back = synthesize_discrete(analyze(inverted, bank), bank)
         num = lp_norm(back - f, 2.0)
         den = lp_norm(f, 2.0)
         worst = max(worst, num / max(den, 1e-300))
@@ -391,7 +385,8 @@ def cmd_verify(args):
 
 def cmd_gen_corpus(args):
     grid = make_grid(args.n, args.m, args.L)
-    functions, manifest = gen_corpus(grid, args.count, args.seed, N=_offset(args))
+    functions, manifest = gen_corpus(grid, args.count, args.seed,
+                                     bank=_bank_for(grid, args))
     out = _out_dir(args)
     for idx, f in enumerate(functions):
         write_block(os.path.join(out, "corpus-%03d.bin" % idx), f)
@@ -401,8 +396,13 @@ def cmd_gen_corpus(args):
     return 0
 
 
-def _add_common(sub):
+def _add_out(sub):
     sub.add_argument("--out", default=".", help="output directory")
+
+
+def _add_bank_options(sub):
+    """--out plus the options of the commands that build a filter bank."""
+    _add_out(sub)
     sub.add_argument("--offset", type=int, default=None,
                      help="scale offset N of the anchored sampling (default: "
                           "n_offset of the bank configuration, else %d)"
@@ -424,23 +424,23 @@ def build_parser():
     p = subs.add_parser("analyze", help="decompose a block into coefficients")
     p.add_argument("input")
     p.add_argument("--dump-coeffs", action="store_true")
-    _add_common(p)
+    _add_bank_options(p)
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("synthesize", help="rebuild a block from coefficients")
     p.add_argument("input", help="coeffs.npz written by analyze --dump-coeffs")
-    p.add_argument("--out", default=".", help="output directory")
+    _add_out(p)
     p.set_defaults(func=cmd_synthesize)
 
     p = subs.add_parser("squarefunc", help="pointwise square function")
     p.add_argument("input")
-    _add_common(p)
+    _add_bank_options(p)
     p.set_defaults(func=cmd_squarefunc)
 
     p = subs.add_parser("hardy-norm", help="square-function based p-norm")
     p.add_argument("input")
     p.add_argument("--p", type=float, default=1.0)
-    _add_common(p)
+    _add_bank_options(p)
     p.set_defaults(func=cmd_hardy_norm)
 
     p = subs.add_parser("cmo-norm", help="Carleson-sum norm lower bound")
@@ -448,14 +448,14 @@ def build_parser():
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--candidates", type=int, default=32)
     p.add_argument("--auto-budget", action="store_true")
-    _add_common(p)
+    _add_bank_options(p)
     p.set_defaults(func=cmd_cmo_norm)
 
     p = subs.add_parser("maximal", help="dyadic maximal function")
     p.add_argument("input")
     p.add_argument("--family", choices=("dyadic-cubes", "dyadic-rectangles"),
                    default="dyadic-rectangles")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_maximal)
 
     p = subs.add_parser("cz-decompose", help="good/bad split at a threshold")
@@ -465,7 +465,7 @@ def build_parser():
     p.add_argument("--p1", type=float, default=2.0)
     p.add_argument("--p2", type=float, default=0.7)
     p.add_argument("--tol", type=float, default=1e-10)
-    _add_common(p)
+    _add_bank_options(p)
     p.set_defaults(func=cmd_cz_decompose)
 
     p = subs.add_parser("kernel", help="kernel certification and convolution")
@@ -480,13 +480,13 @@ def build_parser():
                    default="flag")
     p.add_argument("--budget", type=int, default=2048)
     p.add_argument("--eps-factor", type=float, default=2.0)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_kernel)
 
     p = subs.add_parser("verify", help="run one acceptance-style suite")
     p.add_argument("--suite", choices=VERIFY_SUITES, required=True)
     p.add_argument("--L", type=int, default=7)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("gen-corpus", help="deterministic test corpus")
@@ -495,7 +495,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--L", type=int, default=6)
-    _add_common(p)
+    _add_bank_options(p)
     p.set_defaults(func=cmd_gen_corpus)
 
     return parser

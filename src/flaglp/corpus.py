@@ -86,8 +86,7 @@ def single_atom(grid, bank, rng):
              for key in scales}
     hot = tuple(int(rng.integers(0, c)) for c in slots[hot_key].shape)
     slots[hot_key][hot] = 1.0
-    coeffs = CoefficientField(bank, bank.N, slots,
-                              np.zeros(grid.shape, dtype=np.complex128))
+    coeffs = CoefficientField(bank, slots, np.zeros(grid.shape, dtype=np.complex128))
     return synthesize_discrete(coeffs, bank)
 
 
@@ -110,15 +109,24 @@ def smooth_bump(grid, rng):
     return SampledFunction(grid, values)
 
 
-def gen_corpus(grid, count, seed, bank=None, N=2, kinds=DEFAULT_KINDS):
-    """Deterministic corpus of tagged test functions with a manifest."""
+def gen_corpus(grid, count, seed, bank=None, N=None, kinds=DEFAULT_KINDS):
+    """Deterministic corpus of tagged test functions with a manifest.
+
+    The functions are built on bank, whose offset is recorded in the
+    manifest.  N only chooses the offset of the default-profile bank built
+    when none is given (default 2); with a bank, an N other than bank.N
+    raises ConfigurationError.
+    """
     if count < 0:
         raise ConfigurationError("corpus count must be nonnegative")
     for kind in kinds:
         if kind not in DEFAULT_KINDS:
             raise ConfigurationError("unknown corpus kind %r" % (kind,))
     if bank is None:
-        bank = build_filter_bank(grid, FilterProfile(), N)
+        bank = build_filter_bank(grid, FilterProfile(), 2 if N is None else N)
+    elif N is not None and N != bank.N:
+        raise ConfigurationError(
+            "offset N=%d conflicts with the bank's N=%d" % (N, bank.N))
     rng = _rng(seed)
     entries = []
     functions = []

@@ -20,12 +20,12 @@ from .squarefuncs import g_flag_discrete, hardy_norm
 from .transform import CoefficientField, analyze, neumann_inverse, synthesize_discrete
 
 
-def hardy_type_norm(f: SampledFunction, bank: FilterBank, p: float, N: int = None) -> float:
+def hardy_type_norm(f: SampledFunction, bank: FilterBank, p: float) -> float:
     """Discrete Hardy norm for p <= 1, plain L^p norm for p > 1."""
     if p <= 0:
         raise DomainError(f"exponent p must be positive, got {p}")
     if p <= 1:
-        return hardy_norm(f, bank, p, N)
+        return hardy_norm(f, bank, p)
     return lp_norm(f, p)
 
 
@@ -42,7 +42,6 @@ class CZReport:
     fitted_c_b: float
     level_set_measures: tuple
     iterations: int
-    N: int
     rect_classes: dict  # (j,k) -> integer array, 0 = good, l >= 1 = bad level
     level_masks: tuple  # boolean cell masks of the level sets
 
@@ -58,7 +57,6 @@ def cz_decompose(
     f: SampledFunction,
     bank: FilterBank,
     alpha: float,
-    N: int = None,
     p: float = 0.9,
     p1: float = 2.0,
     p2: float = 0.7,
@@ -72,10 +70,9 @@ def cz_decompose(
             f"exponents must satisfy 0 < p2 <= 1 and p2 < p < p1, got p2={p2}, p={p}, p1={p1}"
         )
     grid = bank.grid
-    N = bank.N if N is None else N
 
-    inverted, iterations = neumann_inverse(f, bank, N, tol=tol)
-    coeffs = analyze(inverted, bank, N)
+    inverted, iterations = neumann_inverse(f, bank, tol=tol)
+    coeffs = analyze(inverted, bank)
     sf = g_flag_discrete(coeffs).values.real
 
     # level sets Omega_l = {S > alpha 2^l} until empty (DD-Z1)
@@ -93,19 +90,17 @@ def cz_decompose(
     for (j, k), slot in coeffs.slots.items():
         cls = np.zeros(slot.shape, dtype=int)
         for mask in level_masks:
-            frac = block_reduce(mask.astype(float), block_sizes(grid, j, k, N), np.mean)
+            frac = block_reduce(mask.astype(float), block_sizes(grid, j, k, bank.N), np.mean)
             cls += (frac >= 0.5).astype(int)
         rect_classes[(j, k)] = cls
 
     good = CoefficientField(
         bank,
-        N,
         {key: arr * (rect_classes[key] == 0) for key, arr in coeffs.slots.items()},
         coeffs.low_pass,
     )
     bad = CoefficientField(
         bank,
-        N,
         {key: arr * (rect_classes[key] >= 1) for key, arr in coeffs.slots.items()},
         np.zeros_like(coeffs.low_pass),
     )
@@ -113,9 +108,9 @@ def cz_decompose(
     g = synthesize_discrete(good, bank)
     b = synthesize_discrete(bad, bank)
 
-    f_norm = hardy_type_norm(f, bank, p, N)
-    g_norm = hardy_type_norm(g, bank, p1, N)
-    b_norm = hardy_type_norm(b, bank, p2, N)
+    f_norm = hardy_type_norm(f, bank, p)
+    g_norm = hardy_type_norm(g, bank, p1)
+    b_norm = hardy_type_norm(b, bank, p2)
     # constants on the linear scale of the norm inequalities
     # ||g|| <= C alpha^(1-p/p1) ||f||^(p/p1), same shape for b
     denom = alpha ** (1.0 - p / p1) * f_norm ** (p / p1)
@@ -135,7 +130,6 @@ def cz_decompose(
         fitted_c_b=fitted_c_b,
         level_set_measures=tuple(float(m.sum()) * grid.cell_volume for m in level_masks),
         iterations=iterations,
-        N=N,
         rect_classes=rect_classes,
         level_masks=tuple(level_masks),
     )
@@ -159,7 +153,7 @@ def support_violations(report: CZReport, bank: FilterBank, threshold: float = 0.
         # the dilation depends only on the level: one strong maximal per level
         dilated = dilated_level_set(previous, grid, threshold)
         for (j, k), m in members.items():
-            inside = block_reduce(dilated, block_sizes(grid, j, k, report.N), np.min)
+            inside = block_reduce(dilated, block_sizes(grid, j, k, bank.N), np.min)
             violations += int(np.sum(m & ~inside))
     return violations
 
@@ -171,7 +165,6 @@ def interpolation_experiment(
     p2: float,
     p_grid: list,
     corpus: list,
-    N: int = None,
 ) -> dict:
     """Measure ||T f||_p / ||f||_{hardy-type, p} across an exponent grid.
 
@@ -187,7 +180,7 @@ def interpolation_experiment(
     for p in list(p_grid) + [p1, p2]:
         worst = 0.0
         for f in corpus:
-            denom = hardy_type_norm(f, bank, p, N)
+            denom = hardy_type_norm(f, bank, p)
             if denom == 0.0:
                 continue
             tf = op(f)

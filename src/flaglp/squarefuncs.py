@@ -37,11 +37,11 @@ def g_flag_discrete(coeffs: CoefficientField) -> SampledFunction:
     return SampledFunction(grid, np.sqrt(total))
 
 
-def hardy_norm(f: SampledFunction, bank: FilterBank, p: float, N: int = None) -> float:
+def hardy_norm(f: SampledFunction, bank: FilterBank, p: float) -> float:
     """Discrete flag Hardy quasi-norm: L^p norm of the discrete square function."""
     if not (0 < p <= 1):
         raise DomainError(f"hardy_norm requires p in (0, 1], got {p}")
-    return lp_norm(g_flag_discrete(analyze(f, bank, N)), p)
+    return lp_norm(g_flag_discrete(analyze(f, bank)), p)
 
 
 @dataclass(frozen=True)
@@ -60,14 +60,12 @@ class PPReport:
             raise DomainError("sup/inf ratio below 1 for identical banks")
 
 
-def _extreme_square_function(
-    f: SampledFunction, bank: FilterBank, N: int, op
-) -> SampledFunction:
+def _extreme_square_function(f: SampledFunction, bank: FilterBank, op) -> SampledFunction:
     grid = f.grid
     total = np.zeros(grid.shape)
     # same rectangle family as the anchor-sampled square function
     for j, k, energy in _channel_energies(f, bank, anchored_scales(bank)):
-        sizes = block_sizes(grid, j, k, N)
+        sizes = block_sizes(grid, j, k, bank.N)
         total += block_expand(block_reduce(energy, sizes, op), sizes)
     return SampledFunction(grid, np.sqrt(total))
 
@@ -77,7 +75,6 @@ def pp_compare(
     bank_a: FilterBank,
     bank_b: FilterBank,
     p: float,
-    N: int = None,
 ) -> PPReport:
     """L^p norm of the sup-sampled (bank A) vs inf-sampled (bank B) version.
 
@@ -90,12 +87,9 @@ def pp_compare(
         raise ShapeMismatchError("banks have incompatible scale windows")
     if p <= 0:
         raise DomainError(f"exponent p must be positive, got {p}")
-    N = bank_a.N if N is None else N
-    if N != bank_a.N:
-        raise ShapeMismatchError(f"offset N={N} conflicts with bank N={bank_a.N}")
 
-    sup_norm = lp_norm(_extreme_square_function(f, bank_a, N, np.max), p)
-    inf_norm = lp_norm(_extreme_square_function(f, bank_b, N, np.min), p)
+    sup_norm = lp_norm(_extreme_square_function(f, bank_a, np.max), p)
+    inf_norm = lp_norm(_extreme_square_function(f, bank_b, np.min), p)
     degenerate = False
     if inf_norm == 0.0:
         if sup_norm == 0.0:

@@ -47,13 +47,18 @@ class CoefficientField:
     holding psi_{j,k}*f at the rectangle anchors, over the bank's live
     anchored channels only; low_pass is the full-grid bypass channel
     (low-pass plus the capped top-scale annuli).  Also reused as the bare
-    sequence carrier.
+    sequence carrier.  The offset N is the bank's: a slot shaped for any
+    other offset is rejected.
     """
 
     bank: FilterBank
-    N: int
     slots: dict
     low_pass: np.ndarray
+
+    @property
+    def N(self) -> int:
+        """The anchor offset, read from the bank."""
+        return self.bank.N
 
     def __post_init__(self):
         grid = self.bank.grid
@@ -72,7 +77,7 @@ class CoefficientField:
     def map_slots(self, fn) -> "CoefficientField":
         """New field with fn(j, k, slot) applied to every slot."""
         new = {(j, k): fn(j, k, arr) for (j, k), arr in self.slots.items()}
-        return CoefficientField(self.bank, self.N, new, self.low_pass)
+        return CoefficientField(self.bank, new, self.low_pass)
 
 
 def _anchor_slices(grid: Grid, j: int, k: int, N: int) -> tuple:
@@ -100,28 +105,17 @@ def _cell_transfer(arr: np.ndarray, ch, conj: bool = False) -> np.ndarray:
     return arr
 
 
-def _check_offset(bank: FilterBank, N) -> int:
-    if N is None:
-        return bank.N
-    if N != bank.N:
-        raise ConfigurationError(
-            f"offset N={N} conflicts with the bank's N={bank.N}; rebuild the bank"
-        )
-    return N
-
-
-def analyze(f: SampledFunction, bank: FilterBank, N: int = None) -> CoefficientField:
+def analyze(f: SampledFunction, bank: FilterBank) -> CoefficientField:
     """Channel convolutions subsampled at the rectangle anchors."""
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    N = _check_offset(bank, N)
     fhat = np.fft.fftn(f.values)
     slots = {}
     for ch in bank.anchored:
         spectrum = _folded_filter(bank, ch) * fhat.reshape(ch.fold_shape)
         slots[(ch.j, ch.k)] = np.fft.ifftn(spectrum.mean(axis=ch.alias_axes))
     low_pass = np.fft.ifftn(bank.bypass_hat * fhat)
-    return CoefficientField(bank=bank, N=N, slots=slots, low_pass=low_pass)
+    return CoefficientField(bank=bank, slots=slots, low_pass=low_pass)
 
 
 def channel_convolution(f: SampledFunction, bank: FilterBank, j: int, k: int) -> np.ndarray:
@@ -153,12 +147,11 @@ def synthesize_continuous(f: SampledFunction, bank: FilterBank) -> SampledFuncti
 
 
 def reconstruction_apply(
-    f: SampledFunction, bank: FilterBank, N: int = None, adjoint: bool = False
+    f: SampledFunction, bank: FilterBank, adjoint: bool = False
 ) -> SampledFunction:
     """Apply the anchor-sampled reconstruction operator T (or its adjoint)."""
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    _check_offset(bank, N)
     fhat = np.fft.fftn(f.values)
     out_hat = bank.bypass_hat ** 2 * fhat
     for ch in bank.anchored:
@@ -173,10 +166,10 @@ def reconstruction_apply(
 
 
 def remainder_apply(
-    f: SampledFunction, bank: FilterBank, N: int = None, adjoint: bool = False
+    f: SampledFunction, bank: FilterBank, adjoint: bool = False
 ) -> SampledFunction:
     """R(f) = f - T(f), the discretization remainder."""
-    t = reconstruction_apply(f, bank, N, adjoint=adjoint)
+    t = reconstruction_apply(f, bank, adjoint=adjoint)
     return SampledFunction(f.grid, f.values - t.values)
 
 
@@ -194,11 +187,8 @@ def band_projector(bank: FilterBank) -> np.ndarray:
     return norm <= cap
 
 
-def estimate_remainder_norm(
-    bank: FilterBank, N: int = None, steps: int = 20, seed: int = 0
-) -> float:
+def estimate_remainder_norm(bank: FilterBank, steps: int = 20, seed: int = 0) -> float:
     """Power-iteration estimate of ||R||_{2->2}."""
-    N = _check_offset(bank, N)
     grid = bank.grid
     rng = np.random.default_rng(seed)
     v = SampledFunction(
@@ -206,8 +196,8 @@ def estimate_remainder_norm(
     )
     est = 0.0
     for _ in range(steps):
-        rv = remainder_apply(v, bank, N)
-        w = remainder_apply(rv, bank, N, adjoint=True)
+        rv = remainder_apply(v, bank)
+        w = remainder_apply(rv, bank, adjoint=True)
         nv = np.linalg.norm(v.values)
         est = np.linalg.norm(rv.values) / nv
         nw = np.linalg.norm(w.values)
@@ -220,7 +210,6 @@ def estimate_remainder_norm(
 def neumann_inverse(
     f: SampledFunction,
     bank: FilterBank,
-    N: int = None,
     tol: float = 1e-8,
     max_iter: int = 200,
 ) -> tuple:
@@ -231,12 +220,11 @@ def neumann_inverse(
     """
     if tol <= 0:
         raise ConfigurationError("tolerance must be positive")
-    N = _check_offset(bank, N)
     norm_f = np.linalg.norm(f.values)
     if norm_f == 0.0:
         return SampledFunction(f.grid, np.zeros_like(f.values)), 1
 
-    probe = remainder_apply(f, bank, N)
+    probe = remainder_apply(f, bank)
     ratio = np.linalg.norm(probe.values) / norm_f
     if ratio >= 1.0:
         raise DivergenceError(
@@ -255,9 +243,7 @@ def neumann_inverse(
                 f"{last_norm / norm_f:.2e} of ||f||)"
             )
         g = g + increment
-        increment = remainder_apply(
-            SampledFunction(f.grid, increment), bank, N
-        ).values
+        increment = remainder_apply(SampledFunction(f.grid, increment), bank).values
         iterations += 1
         norm = np.linalg.norm(increment)
         # the one-step probe can contract even when iterated applications
@@ -279,7 +265,6 @@ def synthesize_discrete(coeffs: CoefficientField, bank: FilterBank) -> SampledFu
         raise ShapeMismatchError("coefficient field and bank live on different grids")
     if set(coeffs.slots) != set(anchored_scales(bank)):
         raise ShapeMismatchError("coefficient slots do not match the bank's live anchored channels")
-    _check_offset(bank, coeffs.N)
     out_hat = bank.bypass_hat * np.fft.fftn(coeffs.low_pass)
     for ch in bank.anchored:
         lattice = np.expand_dims(np.fft.fftn(coeffs.slots[(ch.j, ch.k)]), ch.alias_axes)

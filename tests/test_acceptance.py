@@ -139,7 +139,7 @@ def _sparse_coeffs(grid, bank, seed, density):
         arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         arr = np.where(rng.uniform(size=shape) < density, arr, 0.0)
         slots[(j, k)] = arr.astype(complex)
-    return CoefficientField(bank, bank.N, slots,
+    return CoefficientField(bank, slots,
                             np.zeros(grid.shape, dtype=complex))
 
 
@@ -169,7 +169,7 @@ def test_acceptance_07_duality():
         j, k = scales[which % len(scales)]
         hot = (which % slots[(j, k)].shape[0], 0)
         slots[(j, k)][hot] = 1.0
-        t = CoefficientField(tiny_bank, 1, slots,
+        t = CoefficientField(tiny_bank, slots,
                              np.zeros(tiny_grid.shape, dtype=complex))
         measure = flaglp.DyadicRectangle(j, k, 1, hot[:1], hot[1:]).measure(1, 1)
         oracle = float(np.sqrt(measure ** (1.0 - 2.0) * 1.0))

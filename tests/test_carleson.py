@@ -20,7 +20,7 @@ def make_coeffs(grid, bank, seed, density=1.0):
         if density < 1.0:
             arr = np.where(rng.uniform(size=shape) < density, arr, 0.0)
         slots[(j, k)] = arr.astype(complex)
-    return CoefficientField(bank, bank.N, slots, np.zeros(grid.shape, dtype=complex))
+    return CoefficientField(bank, slots, np.zeros(grid.shape, dtype=complex))
 
 
 def dense_sp_norm(coeffs, p):
@@ -45,7 +45,7 @@ def test_sp_norm_dense_oracle(tiny):
 def test_sp_norm_homogeneity(tiny):
     grid, bank = tiny
     coeffs = make_coeffs(grid, bank, 32)
-    scaled = CoefficientField(bank, bank.N,
+    scaled = CoefficientField(bank,
                               {k: 3.0 * v for k, v in coeffs.slots.items()},
                               coeffs.low_pass)
     assert sp_norm(scaled, 1.0) == pytest.approx(3.0 * sp_norm(coeffs, 1.0),
@@ -64,7 +64,7 @@ def test_cp_norm_one_hot_exhaustive_oracle(tiny):
             j, k = anchored_scales(bank)[which % len(anchored_scales(bank))]
             hot = (0, which % slots[(j, k)].shape[1])
             slots[(j, k)][hot] = 1.5
-            t = CoefficientField(bank, bank.N, slots, np.zeros(grid.shape, dtype=complex))
+            t = CoefficientField(bank, slots, np.zeros(grid.shape, dtype=complex))
             measure = flaglp.DyadicRectangle(j, k, bank.N, hot[:1], hot[1:]).measure(1, 1)
             oracle = float(np.sqrt(measure ** (1.0 - 2.0 / p) * 1.5 ** 2))
             got = cp_norm(t, p, generate_candidates(t, 64))

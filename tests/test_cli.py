@@ -231,6 +231,26 @@ def test_synthesize_takes_its_bank_and_offset_from_the_file(corpus_dir, tmp_path
     assert report["bank"] == json.loads((tmp_path / "analyze.json").read_text())["bank"]
 
 
+def test_bankless_commands_refuse_bank_options(corpus_dir, tmp_path):
+    block = str(corpus_dir / "corpus-000.bin")
+    commands = (["maximal", block], ["kernel", "validate", "--budget", "16"],
+                ["verify", "--suite", "partition", "--L", "5"])
+    for command in commands:
+        for extra in (["--offset", "5"], ["--bank", "smoothness=3.0"], ["--config", block]):
+            assert main([*command, *extra, "--out", str(tmp_path / "x")]) == 2
+    assert main(["maximal", block, "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / "maximal.json").read_text())["config"]
+    assert not {"offset", "bank", "config"} & set(config)
+
+
+def test_gen_corpus_builds_the_configured_bank(tmp_path):
+    assert main(["gen-corpus", "--count", "1", "--L", "6", "--bank", "smoothness=3.0",
+                 "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "manifest.json").read_text())
+    assert ":s3.0:N3:" in report["manifest"]["bank"]
+    assert report["config"]["bank"] == "smoothness=3.0"
+
+
 def test_bad_arguments_exit_2(tmp_path):
     assert main(["no-such-command"]) == 2
 

@@ -94,6 +94,14 @@ def test_bad_arguments(small):
         gen_corpus(grid, 2, 0, bank=bank, kinds=("monster",))
 
 
+def test_gen_corpus_rejects_conflicting_offset(small3):
+    grid, bank = small3
+    with pytest.raises(ConfigurationError):
+        gen_corpus(grid, 1, 0, bank=bank, N=5)
+    _, manifest = gen_corpus(grid, 1, 0, bank=bank, N=3)
+    assert manifest["offset"] == 3
+
+
 def test_default_bank_construction():
     grid = flaglp.make_grid(1, 1, 5)
     fs, manifest = gen_corpus(grid, 2, 0, N=2)

@@ -58,7 +58,7 @@ def test_g_flag_discrete_one_hot(small):
              for key in scales}
     j, k = scales[0]
     slots[(j, k)][0, 0] = 2.0
-    coeffs = CoefficientField(bank, bank.N, slots, np.zeros(grid.shape, dtype=complex))
+    coeffs = CoefficientField(bank, slots, np.zeros(grid.shape, dtype=complex))
     out = g_flag_discrete(coeffs).values.real
     rect = flaglp.enumerate_rectangles(grid, j, k, bank.N)[0]
     mask = np.zeros(grid.shape, dtype=bool)
@@ -74,7 +74,7 @@ def test_monotone_coefficient_domination(small):
     key = anchored_scales(bank)[2]
     bigger_slots = dict(coeffs.slots)
     bigger_slots[key] = coeffs.slots[key] * 2.0
-    bigger = CoefficientField(bank, bank.N, bigger_slots, coeffs.low_pass)
+    bigger = CoefficientField(bank, bigger_slots, coeffs.low_pass)
     assert np.all(g_flag_discrete(bigger).values.real
                   >= g_flag_discrete(coeffs).values.real - 1e-15)
 

@@ -4,7 +4,7 @@ import pytest
 import flaglp
 from flaglp import (CoefficientField, analyze, neumann_inverse, reconstruction_apply,
                     synthesize_continuous, synthesize_discrete)
-from flaglp.errors import ConfigurationError, DivergenceError, ShapeMismatchError
+from flaglp.errors import DivergenceError, ShapeMismatchError
 from flaglp.filters import lift_flag_filter
 from flaglp.transform import (_anchor_slices, anchored_scales, band_projector,
                               channel_convolution, estimate_remainder_norm, low_pass_apply)
@@ -161,7 +161,7 @@ def test_synthesize_discrete_one_hot_atom(tiny):
                            dtype=complex)
              for key in anchored_scales(bank)}
     slots[(j, k)][1, 1] = 1.0
-    coeffs = CoefficientField(bank, bank.N, slots, np.zeros(grid.shape, dtype=complex))
+    coeffs = CoefficientField(bank, slots, np.zeros(grid.shape, dtype=complex))
     out = synthesize_discrete(coeffs, bank)
 
     step1 = grid.samples_per_axis // counts[0]
@@ -266,16 +266,26 @@ def test_synthesize_discrete_zero(tiny):
     slots = {key: np.zeros(flaglp.rectangle_counts(grid, key[0], key[1], bank.N),
                            dtype=complex)
              for key in anchored_scales(bank)}
-    coeffs = CoefficientField(bank, bank.N, slots, np.zeros(grid.shape, dtype=complex))
+    coeffs = CoefficientField(bank, slots, np.zeros(grid.shape, dtype=complex))
     out = synthesize_discrete(coeffs, bank)
     assert np.max(np.abs(out.values)) == 0.0
 
 
-def test_offset_conflict_raises(small):
-    grid, bank = small
-    f = random_function(grid, 0)
-    with pytest.raises(ConfigurationError):
-        analyze(f, bank, N=3)
+def test_coefficient_field_rejects_other_offset(small, small3):
+    # the field's offset is its bank's: slots shaped for N=2 on an N=3 bank
+    # are rejected, not computed on silently
+    grid, bank = small3
+    # an N=2 bank's field lists other channels than an N=3 bank
+    with pytest.raises(ShapeMismatchError):
+        synthesize_discrete(analyze(random_function(grid, 0), small[1]), bank)
+    low_pass = np.zeros(grid.shape, dtype=complex)
+    slots = {key: np.zeros(flaglp.rectangle_counts(grid, key[0], key[1], 2), dtype=complex)
+             for key in anchored_scales(bank)}
+    with pytest.raises(ShapeMismatchError):
+        CoefficientField(bank, slots, low_pass)
+    slots = {key: np.zeros(flaglp.rectangle_counts(grid, key[0], key[1], 3), dtype=complex)
+             for key in anchored_scales(bank)}
+    assert CoefficientField(bank, slots, low_pass).N == bank.N == 3
 
 
 def test_grid_mismatch_raises(small):

@@ -44,13 +44,7 @@ from .transform import (
     synthesize_discrete,
 )
 from .squarefuncs import g_flag, g_flag_discrete, hardy_norm, pp_compare
-from .maximal import (
-    MaximalConfig,
-    dilated_level_set,
-    fs_vector_check,
-    hl_maximal,
-    strong_maximal,
-)
+from .maximal import dilated_level_set, fs_vector_check, hl_maximal, strong_maximal
 from .carleson import (
     OpenSetApprox,
     cmo_norm,

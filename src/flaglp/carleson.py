@@ -24,7 +24,6 @@ class OpenSetApprox:
 
     grid: Grid
     cell_mask: np.ndarray
-    rects: tuple = ()
     measure: float = field(init=False)
 
     def __post_init__(self):
@@ -42,7 +41,7 @@ class OpenSetApprox:
         mask = np.zeros(grid.shape, dtype=bool)
         for r in rects:
             mask[r.sample_slices(grid)] = True
-        return cls(grid=grid, cell_mask=mask, rects=tuple(rects))
+        return cls(grid=grid, cell_mask=mask)
 
 
 def sp_norm(s: CoefficientField, p: float) -> float:
@@ -158,19 +157,19 @@ def generate_candidates(t: CoefficientField, budget: int) -> list:
     candidates = []
     seen = set()
 
-    def push(mask, rects=()):
+    def push(mask):
         if not mask.any() or len(candidates) >= budget:
             return
         key = mask.tobytes()
         if key in seen:
             return
         seen.add(key)
-        candidates.append(OpenSetApprox(grid=grid, cell_mask=mask, rects=tuple(rects)))
+        candidates.append(OpenSetApprox(grid=grid, cell_mask=mask))
 
     # greedy seed: the single highest-density rectangle
     _, j0, k0, flat0, shape0 = ranked[0]
     seed = _rect_from_slot_index(grid, j0, k0, t.N, flat0, shape0)
-    push(OpenSetApprox.from_rectangles(grid, [seed]).cell_mask, [seed])
+    push(OpenSetApprox.from_rectangles(grid, [seed]).cell_mask)
 
     # level sets of the density field over a geometric ladder
     density = _density_field(t)
@@ -181,15 +180,13 @@ def generate_candidates(t: CoefficientField, budget: int) -> list:
 
     # greedy unions grown by density rank
     mask = np.zeros(grid.shape, dtype=bool)
-    rects = []
     for negd, j, k, flat, shape in ranked[: max(budget, 16)]:
         if negd == 0.0:
             break
         r = _rect_from_slot_index(grid, j, k, t.N, flat, shape)
-        rects.append(r)
         mask = mask.copy()
         mask[r.sample_slices(grid)] = True
-        push(mask, list(rects))
+        push(mask)
         if len(candidates) >= budget:
             break
 
@@ -198,6 +195,6 @@ def generate_candidates(t: CoefficientField, budget: int) -> list:
         if len(candidates) >= budget:
             break
         r = _rect_from_slot_index(grid, j, k, t.N, flat, shape)
-        push(OpenSetApprox.from_rectangles(grid, [r]).cell_mask, [r])
+        push(OpenSetApprox.from_rectangles(grid, [r]).cell_mask)
 
     return candidates[:budget]

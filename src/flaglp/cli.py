@@ -22,16 +22,16 @@ from .blockio import read_block, write_block
 from .carleson import cmo_norm, generate_candidates
 from .corpus import gen_corpus
 from .czd import cz_decompose, support_violations
-from .errors import ConfigurationError, FlagLPError
-from .filters import FilterProfile, bank_from_config, build_filter_bank
+from .errors import ConfigurationError, FlagLPError, KernelError
+from .filters import FilterProfile, _partition_residual, bank_from_config, build_filter_bank
 from .grid import SampledFunction, lp_norm, make_grid
 from .kernels import (builtin_kernel, convolution_operator_norm,
                       custom_kernel, flag_convolve, project_to_flag,
                       validate_flag_kernel, validate_product_kernel)
-from .maximal import MaximalConfig, hl_maximal, strong_maximal
+from .maximal import hl_maximal, strong_maximal
 from .squarefuncs import g_flag, hardy_norm
 from .transform import (CoefficientField, analyze, estimate_remainder_norm,
-                        neumann_inverse, synthesize_discrete)
+                        low_pass_apply, neumann_inverse, synthesize_discrete)
 
 VERIFY_SUITES = ("partition", "plancherel", "remainder-decay", "roundtrip")
 
@@ -163,7 +163,7 @@ def cmd_synthesize(args):
                     _, j, k = name.split("_")
                     slots[(int(j), int(k))] = data[name]
             coeffs = CoefficientField(bank, slots, data["low_pass"])
-        f = synthesize_discrete(coeffs, bank)
+        f = synthesize_discrete(coeffs)
     except (KeyError, ValueError, FlagLPError) as exc:
         # everything above reads only the file: an input error, not a failed validation
         raise ConfigurationError("malformed coefficient file %r: %s"
@@ -223,9 +223,8 @@ def cmd_cmo_norm(args):
 
 def cmd_maximal(args):
     f = _load_input(args.input)
-    config = MaximalConfig(args.family)
     op = hl_maximal if args.family == "dyadic-cubes" else strong_maximal
-    mf = op(f, config)
+    mf = op(f)
     out = _out_dir(args)
     write_block(os.path.join(out, "maximal.bin"), mf)
     report = _report_header("maximal", args, f.grid)
@@ -259,15 +258,14 @@ def cmd_cz_decompose(args):
     return 0
 
 
-def _kernel_from_args(args):
-    if args.expr:
-        return custom_kernel(args.expr, args.support)
-    return builtin_kernel(args.name)
-
-
 def cmd_kernel(args):
     out = _out_dir(args)
-    kernel = _kernel_from_args(args)
+    try:
+        kernel = custom_kernel(args.expr, args.support) if args.expr else builtin_kernel(args.name)
+        projected = project_to_flag(kernel) if args.action == "project" else None
+    except KernelError as exc:
+        # the options name no usable kernel: a usage error, not a failed validation
+        raise ConfigurationError(str(exc)) from None
     report = _report_header("kernel", args)
     report["kernel"] = kernel.name
     report["action"] = args.action
@@ -281,7 +279,6 @@ def cmd_kernel(args):
         _write_report(os.path.join(out, "kernel.json"), report)
         return 0 if result["passes"] else 1
     if args.action == "project":
-        projected = project_to_flag(kernel)
         samples = {}
         for x in (0.25, 0.5, 1.0):
             for y in (0.25, 0.5, 1.0):
@@ -314,12 +311,8 @@ def _jsonable_validation(result):
 def _verify_partition(L):
     grid = make_grid(1, 1, L)
     bank = build_filter_bank(grid, FilterProfile(), 2)
-    total1 = sum(np.abs(p) ** 2 for p in bank.psi1_hat) \
-        + np.abs(bank.low_pass1_hat) ** 2
-    total2 = sum(np.abs(p) ** 2 for p in bank.psi2_hat) \
-        + np.abs(bank.low_pass2_hat) ** 2
-    residual = max(float(np.max(np.abs(total1 - 1.0))),
-                   float(np.max(np.abs(total2 - 1.0))))
+    residual = max(_partition_residual(bank.psi1_hat, bank.low_pass1_hat),
+                   _partition_residual(bank.psi2_hat, bank.low_pass2_hat))
     return residual, residual <= 1e-10
 
 
@@ -332,10 +325,9 @@ def _verify_plancherel(L, seed=11):
         f = SampledFunction(grid, rng.standard_normal(grid.shape)
                             + 1j * rng.standard_normal(grid.shape))
         sf = g_flag(f, bank)
-        fhat = np.fft.fftn(f.values)
-        low = np.fft.ifftn(bank.low_pass_hat * fhat)
+        low = low_pass_apply(f, bank)
         total = (np.sum(np.abs(sf.values) ** 2)
-                 + np.sum(np.abs(low) ** 2)) * grid.cell_volume
+                 + np.sum(np.abs(low.values) ** 2)) * grid.cell_volume
         ref = np.sum(np.abs(f.values) ** 2) * grid.cell_volume
         worst = max(worst, abs(total - ref) / ref)
     return worst, worst <= 1e-9
@@ -358,7 +350,7 @@ def _verify_roundtrip(L, seed=13):
     worst = 0.0
     for f in functions:
         inverted, _ = neumann_inverse(f, bank, tol=1e-8)
-        back = synthesize_discrete(analyze(inverted, bank), bank)
+        back = synthesize_discrete(analyze(inverted, bank))
         num = lp_norm(back - f, 2.0)
         den = lp_norm(f, 2.0)
         worst = max(worst, num / max(den, 1e-300))

@@ -62,12 +62,11 @@ def band_limited_field(grid, bank, rng):
 
 def indicator_union(grid, bank, rng, pieces=3):
     """Indicator of a union of random dyadic rectangles."""
-    j_lo, j_hi = bank.j_range
-    k_lo, k_hi = bank.k_range
+    lo, hi = bank.j_range
     values = np.zeros(grid.shape, dtype=np.complex128)
     for _ in range(pieces):
-        j = int(rng.integers(j_lo, j_hi + 1))
-        k = int(rng.integers(k_lo, k_hi + 1))
+        j = int(rng.integers(lo, hi + 1))
+        k = int(rng.integers(lo, hi + 1))
         # one flat draw over the rectangles in enumerate_rectangles order
         shape = rectangle_index_shape(grid, j, k, bank.N)
         flat = int(rng.integers(0, math.prod(shape)))
@@ -87,7 +86,7 @@ def single_atom(grid, bank, rng):
     hot = tuple(int(rng.integers(0, c)) for c in slots[hot_key].shape)
     slots[hot_key][hot] = 1.0
     coeffs = CoefficientField(bank, slots, np.zeros(grid.shape, dtype=np.complex128))
-    return synthesize_discrete(coeffs, bank)
+    return synthesize_discrete(coeffs)
 
 
 def smooth_bump(grid, rng):

@@ -105,8 +105,8 @@ def cz_decompose(
         np.zeros_like(coeffs.low_pass),
     )
 
-    g = synthesize_discrete(good, bank)
-    b = synthesize_discrete(bad, bank)
+    g = synthesize_discrete(good)
+    b = synthesize_discrete(bad)
 
     f_norm = hardy_type_norm(f, bank, p)
     g_norm = hardy_type_norm(g, bank, p1)
@@ -136,12 +136,14 @@ def cz_decompose(
     return g, b, report
 
 
-def support_violations(report: CZReport, bank: FilterBank, threshold: float = 0.5) -> int:
+def support_violations(report: CZReport, bank: FilterBank) -> int:
     """Count bad rectangles not contained in the dilated previous level set.
 
-    Exactness of the stopping time predicts zero: a class-l rectangle covers
-    at least half its measure inside Omega_{l-1}, so the strong maximal
-    function of that indicator is >= 1/2 on the whole rectangle.
+    The dilation is {M_s(indicator of Omega_{l-1}) >= 1/2}, and its 1/2 is
+    the one of cz_decompose's classification (frac >= 0.5).  Exactness of
+    the stopping time predicts zero: a class-l rectangle covers at least
+    half its measure inside Omega_{l-1}, so the strong maximal function of
+    that indicator is >= 1/2 on the whole rectangle.
     """
     grid = bank.grid
     violations = 0
@@ -151,7 +153,7 @@ def support_violations(report: CZReport, bank: FilterBank, threshold: float = 0.
         if not members:
             continue
         # the dilation depends only on the level: one strong maximal per level
-        dilated = dilated_level_set(previous, grid, threshold)
+        dilated = dilated_level_set(previous, grid)
         for (j, k), m in members.items():
             inside = block_reduce(dilated, block_sizes(grid, j, k, bank.N), np.min)
             violations += int(np.sum(m & ~inside))

@@ -96,16 +96,17 @@ class FilterBank:
     grid: Grid
     profile: FilterProfile
     N: int
-    j_range: tuple
-    k_range: tuple
     psi1_hat: tuple
     psi2_hat: tuple
     low_pass1_hat: np.ndarray
     low_pass2_hat: np.ndarray
     low_pass_hat: np.ndarray
-    calderon_residual1: float
-    calderon_residual2: float
     scales: tuple
+
+    @property
+    def j_range(self) -> tuple:
+        """Scale window (0, L - N - 1), shared by j and k; the top scale is capped."""
+        return (0, self.grid.L - self.N - 1)
 
     @cached_property
     def anchored(self) -> tuple:
@@ -142,7 +143,7 @@ class FilterBank:
         p = self.profile
         return (
             f"{_ANNULUS}:r{p.inner_radius}-{p.outer_radius}:s{p.smoothness}"
-            f":N{self.N}:j{self.j_range}:k{self.k_range}"
+            f":N{self.N}:j{self.j_range}:k{self.j_range}"
         )
 
 
@@ -177,6 +178,7 @@ def _annulus_family(r: np.ndarray, j_max: int, profile: FilterProfile) -> tuple:
 
 
 def _partition_residual(filters, low_pass) -> float:
+    """Max deviation from 1 of one factor's partition, low_pass^2 + sum of filter^2."""
     total = low_pass.astype(float) ** 2
     for h in filters:
         total = total + h.astype(float) ** 2
@@ -226,25 +228,22 @@ def build_filter_bank(grid: Grid, profile: FilterProfile = None, N: int = 2) -> 
         grid=grid,
         profile=profile,
         N=N,
-        j_range=(0, j_max),
-        k_range=(0, j_max),
         psi1_hat=tuple(psi1),
         psi2_hat=tuple(psi2),
         low_pass1_hat=lp1,
         low_pass2_hat=lp2,
         low_pass_hat=_combined_low_pass(grid, lp1, lp2),
-        calderon_residual1=_partition_residual(psi1, lp1),
-        calderon_residual2=_partition_residual(psi2, lp2),
         scales=_live_scales(grid, psi1, psi2),
     )
 
 
 def lift_flag_filter(bank: FilterBank, j: int, k: int) -> np.ndarray:
     """Transform of the lifted flag filter over the full lattice."""
-    if not (bank.j_range[0] <= j <= bank.j_range[1]):
+    lo, hi = bank.j_range
+    if not (lo <= j <= hi):
         raise RangeError(f"scale j={j} outside {bank.j_range}")
-    if not (bank.k_range[0] <= k <= bank.k_range[1]):
-        raise RangeError(f"scale k={k} outside {bank.k_range}")
+    if not (lo <= k <= hi):
+        raise RangeError(f"scale k={k} outside {bank.j_range}")
     return bank.psi1_hat[j] * _broadcast_second(bank.grid, bank.psi2_hat[k])
 
 
@@ -324,9 +323,9 @@ def export_bank(bank: FilterBank, directory) -> dict:
         "N": bank.N,
         "mode": _ANNULUS,
         "j_range": list(bank.j_range),
-        "k_range": list(bank.k_range),
-        "calderon_residual1": bank.calderon_residual1,
-        "calderon_residual2": bank.calderon_residual2,
+        "k_range": list(bank.j_range),
+        "calderon_residual1": _partition_residual(bank.psi1_hat, bank.low_pass1_hat),
+        "calderon_residual2": _partition_residual(bank.psi2_hat, bank.low_pass2_hat),
         "filters": entries,
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:

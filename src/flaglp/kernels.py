@@ -49,20 +49,32 @@ DELTA_LADDER = tuple(2.0 ** e for e in range(-4, 5))
 
 _TINY = 1e-300
 
+# central-difference stencils, (shift in steps, weight) per derivative
+# order; the highest order is the certified derivative cap
+_STENCILS = {
+    0: ((0.0, 1.0),),
+    1: ((-1.0, -0.5), (1.0, 0.5)),
+    2: ((-1.0, 1.0), (0.0, -2.0), (1.0, 1.0)),
+}
+
+# relative accuracy asked of each quad call in project_to_flag
+_PROJECTION_RTOL = 1e-8
+
+# variable names of expression kernels
+_VARIABLES = ("x", "y")
+
 
 class KernelSpec:
     """A closed-form kernel with its singularity geometry.
 
     evaluator maps scalar arguments (one per variable) to a complex value
-    and must be finite at every point whose singularity distance exceeds
-    truncation_eps.  blocks describes the size bound: each entry is
-    (home, span, weight) where home lists the argument indices whose
-    derivative orders load this block, span lists the indices summed inside
-    the block norm, and weight is the homogeneity of the block.
+    and must be finite off the singular set.  blocks describes the size
+    bound: each entry is (home, span, weight) where home lists the argument
+    indices whose derivative orders load this block, span lists the indices
+    summed inside the block norm, and weight is the homogeneity of the block.
     """
 
-    def __init__(self, name, evaluator, singular_support, blocks,
-                 nargs, truncation_eps=0.0, derivative_order_cap=2):
+    def __init__(self, name, evaluator, singular_support, blocks, nargs):
         if singular_support not in SUPPORT_KINDS:
             raise KernelError("unknown singular support %r" % (singular_support,))
         if nargs < 1:
@@ -77,8 +89,6 @@ class KernelSpec:
         self.singular_support = singular_support
         self.blocks = tuple((tuple(h), tuple(s), int(w)) for h, s, w in blocks)
         self.nargs = int(nargs)
-        self.truncation_eps = float(truncation_eps)
-        self.derivative_order_cap = int(derivative_order_cap)
 
     def __call__(self, *point):
         if len(point) != self.nargs:
@@ -116,19 +126,12 @@ def _central_difference(kernel, point, orders, step):
     Order 0 uses the point itself, order 1 the two-point stencil, order 2
     the three-point stencil.  Mixed orders tensor the stencils.
     """
-    stencils = {
-        0: ((0.0, 1.0),),
-        1: ((-1.0, -0.5), (1.0, 0.5)),
-        2: ((-1.0, 1.0), (0.0, -2.0), (1.0, 1.0)),
-    }
     nodes = [((), 1.0)]
     for order in orders:
-        if order > 2:
-            raise KernelError("derivative order above the certified cap")
         scale = step ** (-order) if order else 1.0
         nodes = [(offs + (shift * step,), coef * w * scale)
                  for offs, coef in nodes
-                 for shift, w in stencils[order]]
+                 for shift, w in _STENCILS[order]]
     total = 0.0 + 0.0j
     for offs, coef in nodes:
         shifted = tuple(p + o for p, o in zip(point, offs))
@@ -148,7 +151,7 @@ def _ladder_points(nargs, depth):
 
 def _fit_size_constants(kernel, depth):
     """Largest |finite-difference derivative| / size bound per order."""
-    orders_list = _multi_indices(kernel.nargs, kernel.derivative_order_cap)
+    orders_list = _multi_indices(kernel.nargs, max(_STENCILS))
     fitted = {orders: 0.0 for orders in orders_list}
     for point in _ladder_points(kernel.nargs, depth):
         dist = kernel.singularity_distance(point)
@@ -313,8 +316,6 @@ def validate_product_kernel(kernel, sample_budget=4096):
     """Certify the per-factor product size and cancellation bounds."""
     if kernel.singular_support not in ("product", "none"):
         raise KernelError("product validation needs a product-type kernel")
-    if kernel.derivative_order_cap < 1:
-        raise KernelError("product validation needs derivative order >= 1")
     return _run_validation(kernel, sample_budget, "product")
 
 
@@ -332,8 +333,7 @@ def _product_contrast_spec(kernel):
                 blocks.append(((i,), (i,), weight))
                 seen_home.add(i)
     return KernelSpec(kernel.name + ":product-contrast", kernel.evaluator,
-                      "product", blocks, kernel.nargs,
-                      kernel.truncation_eps, kernel.derivative_order_cap)
+                      "product", blocks, kernel.nargs)
 
 
 def validate_flag_kernel(kernel, sample_budget=4096):
@@ -359,7 +359,7 @@ def validate_flag_kernel(kernel, sample_budget=4096):
     return report
 
 
-def project_to_flag(ksharp, rel_tol=1e-8):
+def project_to_flag(ksharp):
     """Integrate out the lifted variable of a three-argument kernel.
 
     The input evaluates (x, u, z); the output evaluates (x, y) as the
@@ -386,10 +386,10 @@ def project_to_flag(ksharp, rel_tol=1e-8):
                 a, b, pts = piece
                 val, abserr = integrate.quad(
                     part, a, b, args=(pick,), points=pts,
-                    epsabs=0.0, epsrel=rel_tol, limit=400)
+                    epsabs=0.0, epsrel=_PROJECTION_RTOL, limit=400)
                 acc += val
                 err += abserr
-            if abs(acc) > _TINY and err > 100.0 * rel_tol * abs(acc):
+            if abs(acc) > _TINY and err > 100.0 * _PROJECTION_RTOL * abs(acc):
                 raise IntegrationError(
                     "projection quadrature did not converge: value %g, "
                     "error estimate %g" % (acc, err))
@@ -397,8 +397,7 @@ def project_to_flag(ksharp, rel_tol=1e-8):
         return total
 
     return KernelSpec(ksharp.name + ":projected", projected, "flag",
-                      (((0,), (0,), 1), ((1,), (0, 1), 1)), 2,
-                      ksharp.truncation_eps, ksharp.derivative_order_cap)
+                      (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
 
 
 def _torus_coordinates(grid):
@@ -451,24 +450,23 @@ def convolution_operator_norm(kernel, grid, eps):
     return float(np.max(np.abs(symbol)))
 
 
-def majorant_check(f, kernel, eps, max_level=None):
+def majorant_check(f, kernel, eps):
     """Fit |block-smoothed K*f| <= C * strong maximal of f pointwise.
 
     Smoothing runs over dyadic block shapes (the sampled two-parameter
-    dilation lattice); the fitted constant is the worst pointwise ratio.
-    Division is monotone, so a block's worst ratio uses its least majorant.
+    dilation lattice) with sides up to half the torus; the fitted constant
+    is the worst pointwise ratio.  Division is monotone, so a block's worst
+    ratio uses its least majorant.
     """
     grid = f.grid
     conv = flag_convolve(f, kernel, eps)
     majorant = strong_maximal(f).values.real
     floor = 1e-13 * max(float(np.max(majorant)), _TINY)
     denominator = np.maximum(majorant, floor)
-    if max_level is None:
-        max_level = grid.samples_per_axis.bit_length() - 2
     per_level = {}
     worst = 0.0
-    for e1 in range(max_level + 1):
-        for e2 in range(max_level + 1):
+    for e1 in range(grid.L):
+        for e2 in range(grid.L):
             sizes = (2 ** e1,) * grid.n + (2 ** e2,) * grid.m
             smoothed = np.abs(_iterated_mean(conv.values, sizes))
             ratio = smoothed / block_reduce(denominator, sizes, np.min)
@@ -487,10 +485,10 @@ _ALLOWED_NODES = (
 )
 
 
-def parse_kernel_expression(text, names=("x", "y")):
+def parse_kernel_expression(text):
     """Compile a small arithmetic expression into a kernel evaluator.
 
-    Allowed: the given variable names, the imaginary unit i, numeric
+    Allowed: the variables x and y, the imaginary unit i, numeric
     constants, + - * / **, unary minus, and abs/exp/sqrt/log calls.
     """
     try:
@@ -508,7 +506,7 @@ def parse_kernel_expression(text, names=("x", "y")):
                 raise KernelError("disallowed call in kernel expression")
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             raise KernelError("assignment not allowed in kernel expression")
-        if (isinstance(node, ast.Name) and node.id not in names
+        if (isinstance(node, ast.Name) and node.id not in _VARIABLES
                 and node.id != "i" and node.id not in _ALLOWED_CALLS):
             raise KernelError("unknown name %r in kernel expression"
                               % (node.id,))
@@ -518,27 +516,20 @@ def parse_kernel_expression(text, names=("x", "y")):
 
     def evaluator(*args):
         local = dict(scope)
-        local.update(zip(names, args))
+        local.update(zip(_VARIABLES, args))
         return complex(eval(code, {"__builtins__": {}}, local))
 
     return evaluator
 
 
-def custom_kernel(text, support, names=("x", "y")):
-    """Build a KernelSpec from an expression and a support descriptor."""
-    evaluator = parse_kernel_expression(text, names)
-    nargs = len(names)
+def custom_kernel(text, support):
+    """Build a KernelSpec in x, y from an expression and a support descriptor."""
+    evaluator = parse_kernel_expression(text)
     if support == "flag":
-        if nargs != 2:
-            raise KernelError("flag kernels take exactly two variables")
         blocks = (((0,), (0,), 1), ((1,), (0, 1), 1))
-    elif support == "product":
-        blocks = tuple(((i,), (i,), 1) for i in range(nargs))
-    elif support == "none":
-        blocks = tuple(((i,), (i,), 1) for i in range(nargs))
     else:
-        raise KernelError("unknown singular support %r" % (support,))
-    return KernelSpec("custom", evaluator, support, blocks, nargs)
+        blocks = (((0,), (0,), 1), ((1,), (1,), 1))
+    return KernelSpec("custom", evaluator, support, blocks, 2)
 
 
 def _smooth_bump_2d(x, y):

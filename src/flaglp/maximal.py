@@ -2,31 +2,18 @@
 
 Both operators range over dyadic families (DD-M1): cubes use one block
 exponent shared by every axis, rectangles use independent per-axis dyadic
-side lengths.  Averages are per-axis block means, one axis at a time,
-and the sup runs from the coarsest block side to the finest, each level
-taking the max with the coarser result expanded by 2, so the sup over
-the declared family is exact, not sampled.
+side lengths, every side from the whole torus down to one sample.
+Averages are per-axis block means, one axis at a time, and the sup runs
+from the coarsest block side to the finest, each level taking the max
+with the coarser result expanded by 2, so the sup over the declared
+family is exact, not sampled.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import block_expand, block_reduce
-from .errors import ConfigurationError, DomainError, ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 from .grid import Grid, SampledFunction, lp_norm
-
-
-@dataclass(frozen=True)
-class MaximalConfig:
-    family: str = "dyadic-rectangles"
-    dilation_cap: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in ("dyadic-cubes", "dyadic-rectangles"):
-            raise ConfigurationError(f"unknown family {self.family!r}")
-        if not (0 < self.dilation_cap <= 1.0):
-            raise ConfigurationError("dilation cap must lie in (0, 1]")
 
 
 def _along(ndim: int, axis: int, size: int) -> tuple:
@@ -42,45 +29,36 @@ def _iterated_mean(arr: np.ndarray, sizes) -> np.ndarray:
     return arr
 
 
-def _max_levels(grid: Grid, dilation_cap: float) -> int:
-    cap = int(np.floor(np.log2(dilation_cap * grid.samples_per_axis)))
-    return min(grid.L, cap)
-
-
-def hl_maximal(f: SampledFunction, config: MaximalConfig = MaximalConfig("dyadic-cubes")) -> SampledFunction:
+def hl_maximal(f: SampledFunction) -> SampledFunction:
     """Dyadic Hardy-Littlewood maximal function (cube family)."""
     grid = f.grid
     a = np.abs(f.values)
     out = None
-    for t in range(_max_levels(grid, config.dilation_cap), -1, -1):
+    for t in range(grid.L, -1, -1):
         means = _iterated_mean(a, (2**t,) * grid.ndim)
         out = means if out is None else np.maximum(means, block_expand(out, (2,) * grid.ndim))
-    # None when no dyadic block fits under the cap: the sup over an empty family is 0
-    return SampledFunction(grid, np.zeros(grid.shape) if out is None else out)
+    return SampledFunction(grid, out)
 
 
-def strong_maximal(f: SampledFunction, config: MaximalConfig = MaximalConfig()) -> SampledFunction:
+def strong_maximal(f: SampledFunction) -> SampledFunction:
     """Dyadic strong maximal function (independent per-axis side lengths)."""
     grid = f.grid
-    levels = _max_levels(grid, config.dilation_cap)
 
     def sup_from(arr: np.ndarray, axis: int) -> np.ndarray:
         """Max over the block sides of axes >= axis, at full resolution along them."""
         if axis == grid.ndim:
             return arr
         out = None
-        for t in range(levels, -1, -1):
+        for t in range(grid.L, -1, -1):
             sup = sup_from(_iterated_mean(arr, _along(grid.ndim, axis, 2**t)), axis + 1)
             out = sup if out is None else np.maximum(sup, block_expand(out, _along(grid.ndim, axis, 2)))
         return out
 
-    sup = sup_from(np.abs(f.values), 0)
-    # None when no dyadic block fits under the cap: the sup over an empty family is 0
-    return SampledFunction(grid, np.zeros(grid.shape) if sup is None else sup)
+    return SampledFunction(grid, sup_from(np.abs(f.values), 0))
 
 
-def dilated_level_set(mask: np.ndarray, grid: Grid, threshold: float = 0.5) -> np.ndarray:
-    """{M_s(indicator of mask) >= threshold} as a boolean cell mask.
+def dilated_level_set(mask: np.ndarray, grid: Grid) -> np.ndarray:
+    """{M_s(indicator of mask) >= 1/2} as a boolean cell mask.
 
     The closed threshold makes the stopping-time support property exact:
     a rectangle covering at least half its measure inside the mask is a
@@ -89,7 +67,7 @@ def dilated_level_set(mask: np.ndarray, grid: Grid, threshold: float = 0.5) -> n
     if mask.shape != grid.shape:
         raise ShapeMismatchError("mask shape does not match the grid")
     ms = strong_maximal(SampledFunction(grid, mask.astype(float)))
-    return ms.values.real >= threshold
+    return ms.values.real >= 0.5
 
 
 def fs_vector_check(family: list, r: float, p: float) -> dict:

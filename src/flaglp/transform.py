@@ -259,10 +259,9 @@ def neumann_inverse(
     return SampledFunction(f.grid, g), iterations
 
 
-def synthesize_discrete(coeffs: CoefficientField, bank: FilterBank) -> SampledFunction:
-    """Rebuild a function from anchor coefficients via cell-summed filters."""
-    if coeffs.bank.grid != bank.grid:
-        raise ShapeMismatchError("coefficient field and bank live on different grids")
+def synthesize_discrete(coeffs: CoefficientField) -> SampledFunction:
+    """Rebuild a function from anchor coefficients via cell-summed filters on their bank."""
+    bank = coeffs.bank
     if set(coeffs.slots) != set(anchored_scales(bank)):
         raise ShapeMismatchError("coefficient slots do not match the bank's live anchored channels")
     out_hat = bank.bypass_hat * np.fft.fftn(coeffs.low_pass)

@@ -56,8 +56,7 @@ def k2_odd_part():
     k2 = flaglp.builtin_kernel("k2-flag")
     return KernelSpec("k2-odd",
                       lambda x, y: k2.evaluator(x, y) - 1.0 / (x * x + y * y),
-                      "flag", k2.blocks, k2.nargs, k2.truncation_eps,
-                      k2.derivative_order_cap)
+                      "flag", k2.blocks, k2.nargs)
 
 
 def dense_cyclic_convolution(filter_values, f_values):

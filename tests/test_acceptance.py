@@ -73,7 +73,7 @@ def test_acceptance_04_discrete_roundtrip():
     worst = 0.0
     for f in functions:
         g, _ = neumann_inverse(f, bank, tol=1e-8)
-        rebuilt = synthesize_discrete(analyze(g, bank), bank)
+        rebuilt = synthesize_discrete(analyze(g, bank))
         err = np.linalg.norm(rebuilt.values - f.values) / np.linalg.norm(f.values)
         worst = max(worst, err)
     report(4, worst <= 1e-7, "worst relative round-trip error %.3e (<= 1e-7)" % worst)
@@ -183,8 +183,7 @@ def test_acceptance_08_kernel_contrast():
     k2 = validate_flag_kernel(builtin_kernel("k2-flag"))
     k1 = builtin_kernel("k1-product")
     k1_as_flag = KernelSpec("k1-as-flag", k1.evaluator, "flag",
-                            (((0,), (0,), 1), ((1,), (0, 1), 1)), 2,
-                            k1.truncation_eps, k1.derivative_order_cap)
+                            (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
     k1_flag = validate_flag_kernel(k1_as_flag)
     k1_product = validate_product_kernel(k1)
     ok = (k2["passes"] and k1_flag["diverging"] and k1_product["passes"])

@@ -98,6 +98,15 @@ def test_kernel_validate_pass_and_fail(tmp_path):
                  "--out", str(tmp_path / "k1p")]) == 0
 
 
+def test_kernel_usage_errors_exit_2(tmp_path):
+    # options that build no usable kernel are a usage error (2), not a failed validation (1):
+    # the default k2-flag has two arguments, and projection needs three
+    for command in (["project"], ["validate", "--name", "no-such"],
+                    ["validate", "--expr", "x.real"], ["convolve", "--name", "no-such"]):
+        assert main(["kernel", *command, "--out", str(tmp_path)]) == 2
+    assert main(["kernel", "project", "--name", "ksharp-smoothed", "--out", str(tmp_path)]) == 0
+
+
 def test_kernel_convolve(corpus_dir, tmp_path):
     block = str(corpus_dir / "corpus-000.bin")
     out = tmp_path / "conv"

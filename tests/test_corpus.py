@@ -128,7 +128,7 @@ def test_indicator_draws_follow_enumeration_order(small):
         expected = np.zeros(grid.shape, dtype=np.complex128)
         for _ in range(6):
             j = int(rng.integers(bank.j_range[0], bank.j_range[1] + 1))
-            k = int(rng.integers(bank.k_range[0], bank.k_range[1] + 1))
+            k = int(rng.integers(bank.j_range[0], bank.j_range[1] + 1))
             rects = enumerate_rectangles(grid, j, k, bank.N)
             expected[rects[int(rng.integers(0, len(rects)))].sample_slices(grid)] = 1.0
         assert np.array_equal(f.values, expected)

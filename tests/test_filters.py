@@ -85,7 +85,7 @@ def test_dead_channels_above_diagonal(small):
     # exactly when its lifted filter is identically zero
     def absent(bank):
         full = [(j, k) for j in range(bank.j_range[0], bank.j_range[1] + 1)
-                for k in range(bank.k_range[0], bank.k_range[1] + 1)]
+                for k in range(bank.j_range[0], bank.j_range[1] + 1)]
         live = [(j, k) for j, k in full if np.any(lift_flag_filter(bank, j, k))]
         assert list(bank.scales) == live
         return set(full) - set(live)

@@ -23,8 +23,7 @@ def test_k1_flag_diverges_product_passes():
     product = validate_product_kernel(k1)
     assert product["passes"], product["max_ratio"]
     as_flag = KernelSpec("k1-as-flag", k1.evaluator, "flag",
-                         (((0,), (0,), 1), ((1,), (0, 1), 1)), 2,
-                         k1.truncation_eps, k1.derivative_order_cap)
+                         (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
     report = validate_flag_kernel(as_flag)
     assert report["diverging"], report["max_ratio"]
     assert not report["passes"]
@@ -112,7 +111,7 @@ def test_projection_separable_bump_oracle():
     def ksharp(x, u, z):
         return complex(np.exp(-x * x - u * u - 2.0 * z * z))
 
-    spec = KernelSpec("sep-bump", ksharp, "none", (), 3, 0.0, 2)
+    spec = KernelSpec("sep-bump", ksharp, "none", (), 3)
     projected = project_to_flag(spec)
     zs = np.linspace(-8.0, 8.0, 16001)
     for x, y in ((0.3, -0.4), (1.0, 0.7)):

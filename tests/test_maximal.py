@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flaglp
-from flaglp import MaximalConfig, dilated_level_set, fs_vector_check, hl_maximal, strong_maximal
+from flaglp import dilated_level_set, fs_vector_check, hl_maximal, strong_maximal
 from flaglp.errors import DomainError, ShapeMismatchError
 
 from conftest import random_function
@@ -115,20 +115,9 @@ def test_dilated_level_set_contains_mask(small):
     grid, _ = small
     mask = np.zeros(grid.shape, dtype=bool)
     mask[4:12, 8:24] = True
-    dilated = dilated_level_set(mask, grid, threshold=0.5)
+    dilated = dilated_level_set(mask, grid)
     assert np.all(dilated[mask])
     assert dilated.sum() >= mask.sum()
-
-
-def test_dilation_cap_limits_family(tiny):
-    grid, _ = tiny
-    f = random_function(grid, 21)
-    capped = strong_maximal(f, MaximalConfig(dilation_cap=0.25)).values.real
-    full = strong_maximal(f).values.real
-    assert np.all(capped <= full + 1e-15)
-    # a cap below one sample admits no block, and the sup over no block is 0
-    assert not strong_maximal(f, MaximalConfig(dilation_cap=0.1)).values.any()
-    assert not hl_maximal(f, MaximalConfig("dyadic-cubes", 0.1)).values.any()
 
 
 def test_fs_vector_check_arguments(tiny):

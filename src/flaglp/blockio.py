@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigurationError, ShapeMismatchError
-from .grid import Grid, SampledFunction, make_grid
+from .grid import SampledFunction, make_grid
 
 MAGIC = b"FLGF"
 VERSION = 1

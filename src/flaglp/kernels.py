@@ -25,13 +25,15 @@ cancellation only, and a kernel that passes can still have log-divergent
 sharp truncations: k2-flag passes, yet its even part 1/(x^2 + y^2) has
 nonzero angular mean, and its truncated operator norms grow like
 2 pi ln(1/eps).
+
+Only project_to_flag needs scipy, for adaptive quadrature, and it imports
+scipy on its first call, so loading this module loads numpy alone.
 """
 
 import ast
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .blocks import block_reduce
 from .errors import DomainError, IntegrationError, KernelError, TruncationError
@@ -368,6 +370,7 @@ def project_to_flag(ksharp):
     """
     if ksharp.nargs != 3:
         raise KernelError("projection needs a three-argument kernel")
+    from scipy import integrate
 
     def projected(x, y):
         def part(z, pick):

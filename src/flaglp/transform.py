@@ -38,6 +38,10 @@ from .blocks import block_sizes
 from .filters import FilterBank, lift_flag_filter
 from .grid import Grid, SampledFunction, rectangle_index_shape
 
+# power iterations of estimate_remainder_norm and the seed of its start vector
+_POWER_STEPS = 20
+_POWER_SEED = 0
+
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -187,15 +191,15 @@ def band_projector(bank: FilterBank) -> np.ndarray:
     return norm <= cap
 
 
-def estimate_remainder_norm(bank: FilterBank, steps: int = 20, seed: int = 0) -> float:
+def estimate_remainder_norm(bank: FilterBank) -> float:
     """Power-iteration estimate of ||R||_{2->2}."""
     grid = bank.grid
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = SampledFunction(
         grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     )
     est = 0.0
-    for _ in range(steps):
+    for _ in range(_POWER_STEPS):
         rv = remainder_apply(v, bank)
         w = remainder_apply(rv, bank, adjoint=True)
         nv = np.linalg.norm(v.values)

@@ -57,7 +57,7 @@ def test_acceptance_03_remainder_decay():
     norms = []
     for N in (1, 2, 3, 4):
         bank = flaglp.build_filter_bank(grid, N=N)
-        norms.append(estimate_remainder_norm(bank, steps=20, seed=0))
+        norms.append(estimate_remainder_norm(bank))
     monotone = all(a > b for a, b in zip(norms, norms[1:]))
     ratios = [a / b for a, b in zip(norms, norms[1:])]
     in_band = all(1.5 <= r <= 2.5 for r in ratios)

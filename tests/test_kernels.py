@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -129,6 +133,30 @@ def test_projection_of_smoothed_product_kernel_finite():
 def test_projection_needs_three_arguments():
     with pytest.raises(KernelError):
         project_to_flag(builtin_kernel("k2-flag"))
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+import flaglp
+import flaglp.cli
+from flaglp.errors import KernelError
+try:
+    flaglp.project_to_flag(flaglp.builtin_kernel("k2-flag"))
+except KernelError:
+    print("KernelError")
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_and_refused_projection_do_not_load_scipy():
+    # only a projection that runs its quadrature may import scipy
+    src = os.path.dirname(os.path.dirname(flaglp.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.splitlines() == ["KernelError", "[]"]
 
 
 def test_parse_kernel_expression():

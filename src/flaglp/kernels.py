@@ -26,6 +26,12 @@ sharp truncations: k2-flag passes, yet its even part 1/(x^2 + y^2) has
 nonzero angular mean, and its truncated operator norms grow like
 2 pi ln(1/eps).
 
+Kernel evaluators act elementwise on numpy arrays, so the truncated
+sampler evaluates a kernel once, on every torus point outside the
+truncation, and broadcasts a constant result.  Calling a KernelSpec stays
+the scalar entry point, which the certification ladders use.  A projected
+kernel runs its quadrature per point, np.vectorize'd over arrays.
+
 Only project_to_flag needs scipy, for adaptive quadrature, and it imports
 scipy on its first call, so loading this module loads numpy alone.
 """
@@ -69,11 +75,18 @@ _VARIABLES = ("x", "y")
 class KernelSpec:
     """A closed-form kernel with its singularity geometry.
 
-    evaluator maps scalar arguments (one per variable) to a complex value
-    and must be finite off the singular set.  blocks describes the size
-    bound: each entry is (home, span, weight) where home lists the argument
-    indices whose derivative orders load this block, span lists the indices
-    summed inside the block norm, and weight is the homogeneity of the block.
+    evaluator maps its arguments (one per variable) to complex values and
+    must be finite off the singular set.  It must act elementwise on numpy
+    arrays of one shape: sample_truncated_kernel calls it once, on all kept
+    torus points, and broadcasts a constant scalar result.  Calling the
+    spec is the scalar entry point the certification ladders use: it checks
+    the arity and returns a Python complex.  Projected kernels np.vectorize
+    their scalar quadrature.
+
+    blocks describes the size bound: each entry is (home, span, weight)
+    where home lists the argument indices whose derivative orders load this
+    block, span lists the indices summed inside the block norm, and weight
+    is the homogeneity of the block.
     """
 
     def __init__(self, name, evaluator, singular_support, blocks, nargs):
@@ -399,39 +412,44 @@ def project_to_flag(ksharp):
             total += acc if pick == 0 else 1j * acc
         return total
 
-    return KernelSpec(ksharp.name + ":projected", projected, "flag",
+    return KernelSpec(ksharp.name + ":projected",
+                      np.vectorize(projected, otypes=[complex]), "flag",
                       (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
 
 
 def _torus_coordinates(grid):
-    """Signed torus coordinates in [-1/2, 1/2) along every axis."""
+    """Signed torus coordinates in [-1/2, 1/2), one full-grid array per axis."""
     axes = []
     for size in grid.shape:
         idx = np.arange(size, dtype=np.float64)
         idx[idx >= size / 2] -= size
         axes.append(idx * grid.spacing)
-    return np.meshgrid(*axes, indexing="ij", sparse=True)
+    return np.meshgrid(*axes, indexing="ij")
 
 
 def sample_truncated_kernel(kernel, grid, eps):
     """Sample the eps-truncated kernel on the torus, integral-weighted.
 
-    The samples carry the cell volume so frequency-side multiplication
-    realizes the convolution integral.
+    The kernel is evaluated once, on the points outside the truncation,
+    so no singular point is ever evaluated.  The samples carry the cell
+    volume so frequency-side multiplication realizes the convolution
+    integral.
     """
     if kernel.nargs != grid.ndim:
         raise KernelError("kernel arity %d does not match grid dimension %d"
                           % (kernel.nargs, grid.ndim))
     if eps < grid.spacing:
-        raise TruncationError("truncation radius below the grid spacing")
+        raise TruncationError("truncation radius eps=%g is below the grid "
+                              "spacing h=%g" % (eps, grid.spacing))
     coords = _torus_coordinates(grid)
-    flat = [np.broadcast_to(c, grid.shape).ravel() for c in coords]
-    values = np.zeros(flat[0].size, dtype=np.complex128)
-    for idx in range(values.size):
-        point = tuple(f[idx] for f in flat)
-        if kernel.singularity_distance(point) > eps:
-            values[idx] = kernel(*point)
-    values = values.reshape(grid.shape)
+    keep = np.ones(grid.shape, dtype=bool)
+    if kernel.singular_support != "none":
+        # singularity_distance(point) > eps over the whole grid: the
+        # smallest block norm exceeds eps exactly when every one does
+        for _, span, _ in kernel.blocks:
+            keep &= sum(np.abs(coords[i]) for i in span) > eps
+    values = np.zeros(grid.shape, dtype=np.complex128)
+    values[keep] = kernel.evaluator(*(c[keep] for c in coords))
     return values * grid.spacing ** grid.ndim
 
 
@@ -520,7 +538,7 @@ def parse_kernel_expression(text):
     def evaluator(*args):
         local = dict(scope)
         local.update(zip(_VARIABLES, args))
-        return complex(eval(code, {"__builtins__": {}}, local))
+        return eval(code, {"__builtins__": {}}, local)
 
     return evaluator
 
@@ -537,15 +555,16 @@ def custom_kernel(text, support):
 
 def _smooth_bump_2d(x, y):
     r2 = 4.0 * (x * x + y * y)
-    if r2 >= 1.0:
-        return 0.0j
+    inside = r2 < 1.0
+    # outside the disc the exponent is taken at 0, then multiplied away
+    r2 = r2 * inside
     # mass-normalized so truncated convolution is an approximate identity
-    return complex(np.exp(-r2 / (1.0 - r2)) / 0.3170280402818972)
+    return inside * np.exp(-r2 / (1.0 - r2)) / 0.3170280402818972
 
 
 def _ksharp_smoothed(x, u, z):
     s = abs(x) + abs(u)
-    return complex(1.0 / ((s * s + 0.01) * math.sqrt(z * z + 0.01)))
+    return 1.0 / ((s * s + 0.01) * np.sqrt(z * z + 0.01))
 
 
 def builtin_kernel(name):

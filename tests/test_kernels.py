@@ -57,8 +57,75 @@ def test_smooth_bump_approximate_identity():
 
 def test_truncation_below_spacing_rejected(tiny):
     grid, _ = tiny
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError,
+                       match=r"^truncation radius eps=0\.03125 is below the grid spacing h=0\.125$"):
         sample_truncated_kernel(builtin_kernel("k2-flag"), grid, 0.25 * grid.spacing)
+
+
+def per_point_samples(kernel, grid, eps):
+    """Reference sampler: one scalar kernel call per kept torus point."""
+    axes = []
+    for size in grid.shape:
+        idx = np.arange(size, dtype=np.float64)
+        idx[idx >= size / 2] -= size
+        axes.append(idx * grid.spacing)
+    flat = [c.ravel() for c in np.meshgrid(*axes, indexing="ij")]
+    values = np.zeros(flat[0].size, dtype=np.complex128)
+    kept = np.zeros(flat[0].size, dtype=bool)
+    for idx in range(values.size):
+        point = tuple(f[idx] for f in flat)
+        if kernel.singularity_distance(point) > eps:
+            kept[idx] = True
+            values[idx] = kernel(*point)
+    return values.reshape(grid.shape) * grid.spacing ** grid.ndim, kept.reshape(grid.shape)
+
+
+def sampler_kernel(label):
+    if label == "k0-parsed":
+        return custom_kernel("-i*y/(x*(x**2+y**2))", "flag")
+    if label == "k2-odd":
+        return k2_odd_part()
+    return builtin_kernel(label)
+
+
+@pytest.mark.parametrize("factor", (1, 2, 4))
+@pytest.mark.parametrize("label, n, m, L", [
+    ("k2-flag", 1, 1, 5), ("k1-product", 1, 1, 5), ("smooth-bump", 1, 1, 5),
+    ("zero", 1, 1, 5), ("k0-parsed", 1, 1, 5), ("k2-odd", 1, 1, 5),
+    ("ksharp-smoothed", 2, 1, 4), ("ksharp-smoothed", 1, 2, 4)])
+def test_sampler_matches_per_point_loop(label, n, m, L, factor):
+    kernel = sampler_kernel(label)
+    grid = flaglp.make_grid(n, m, L)
+    eps = factor * grid.spacing
+    samples = sample_truncated_kernel(kernel, grid, eps)
+    reference, kept = per_point_samples(kernel, grid, eps)
+    assert samples.shape == grid.shape and samples.dtype == np.complex128
+    assert np.all(samples[~kept] == 0.0)
+    if label == "k0-parsed":
+        # a parsed expression may round differently on arrays than on scalars
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(samples - reference)) <= 1e-12 * scale
+    else:
+        assert np.array_equal(samples, reference)
+
+
+def test_sampler_evaluates_once_off_the_truncation():
+    grid = flaglp.make_grid(1, 1, 5)
+    eps = 2 * grid.spacing
+    k2 = builtin_kernel("k2-flag")
+    calls = []
+
+    def counting(x, y):
+        calls.append(np.size(x))
+        # the flag blocks are |x| and |x| + |y|: both exceed eps off the truncation
+        assert np.all(np.abs(x) > eps)
+        return k2.evaluator(x, y)
+
+    spec = KernelSpec("counted", counting, "flag", k2.blocks, k2.nargs)
+    samples = sample_truncated_kernel(spec, grid, eps)
+    assert len(calls) == 1
+    assert calls[0] == np.count_nonzero(samples)
+    assert np.array_equal(samples, sample_truncated_kernel(k2, grid, eps))
 
 
 def test_truncated_samples_vanish_near_singularity(tiny):
@@ -123,6 +190,18 @@ def test_projection_separable_bump_oracle():
         assert projected(x, y) == pytest.approx(oracle, rel=1e-8)
 
 
+def test_projection_acts_elementwise():
+    def ksharp(x, u, z):
+        return np.exp(-x * x - u * u - 2.0 * z * z)
+
+    projected = project_to_flag(KernelSpec("sep-bump", ksharp, "none", (), 3))
+    xs = np.array([0.3, 1.0, -0.5])
+    ys = np.array([-0.4, 0.7, 0.2])
+    values = projected.evaluator(xs, ys)
+    assert values.shape == (3,) and values.dtype == np.complex128
+    assert np.array_equal(values, [projected(x, y) for x, y in zip(xs, ys)])
+
+
 def test_projection_of_smoothed_product_kernel_finite():
     ksharp = builtin_kernel("ksharp-smoothed")
     projected = project_to_flag(ksharp)
@@ -164,6 +243,15 @@ def test_parse_kernel_expression():
     assert fn(2.0, 4.0) == pytest.approx(0.125)
     fn = parse_kernel_expression("exp(-abs(x))/sqrt(y*y)")
     assert fn(0.0, 2.0) == pytest.approx(0.5)
+
+
+def test_parsed_expression_acts_elementwise():
+    fn = parse_kernel_expression("exp(-abs(x))/sqrt(y*y)")
+    xs = np.array([0.0, -0.5, 1.25, 3.0])
+    ys = np.array([2.0, -0.25, 0.75, -4.0])
+    values = fn(xs, ys)
+    assert values.shape == xs.shape
+    assert np.array_equal(values, [fn(x, y) for x, y in zip(xs, ys)])
 
 
 def test_parse_rejects_unsafe_expressions():

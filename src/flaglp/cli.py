@@ -467,7 +467,8 @@ def build_parser():
     p.add_argument("--name", default="k2-flag",
                    help="registry kernel name")
     p.add_argument("--expr", default="",
-                   help="custom kernel expression in x, y")
+                   help="custom kernel expression in x, y; write --expr=EXPR "
+                        "when it begins with a minus sign")
     p.add_argument("--support", choices=("product", "flag", "none"),
                    default="flag")
     p.add_argument("--budget", type=int, default=2048)

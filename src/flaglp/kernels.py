@@ -7,12 +7,15 @@ hyperplane and obeys the asymmetric bound
 
     |d_x^a d_y^b K(x, y)| <= C |x|^(-w1-a) (|x| + |y|)^(-w2-b).
 
-Certification samples dyadic ladders of points, estimates derivatives by
-central differences, fits the smallest admissible constant per derivative
-order, and re-runs at a deeper ladder.  A genuine kernel of the claimed type
-produces stable fitted constants; a kernel of the wrong type produces a
-constant that grows geometrically with the ladder depth, and the ratio
-between refinements is the reported evidence.
+Certification samples the kernel once per refinement level: central
+differences at every point of a dyadic ladder, and bump pairings in one
+variable.  Each bound family (the flag bound, and for flag kernels the
+stricter per-factor product contrast) then fits the smallest admissible
+constant per derivative order to those same samples, and the fit is
+repeated on the deeper ladder of the next level.  A genuine kernel of the
+claimed type produces stable fitted constants; a kernel of the wrong type
+produces a constant that grows geometrically with the ladder depth, and the
+ratio between refinements is the reported evidence.
 
 Cancellation conditions are tested against a fixed family of twice
 continuously differentiable bump functions, integrated by symmetric midpoint
@@ -37,6 +40,7 @@ scipy on its first call, so loading this module loads numpy alone.
 """
 
 import ast
+import functools
 import math
 
 import numpy as np
@@ -70,6 +74,11 @@ _PROJECTION_RTOL = 1e-8
 
 # variable names of expression kernels
 _VARIABLES = ("x", "y")
+
+# size descriptors of the two-variable geometries, as KernelSpec blocks: a
+# flag kernel is bounded by |x| and |x| + |y|, a product kernel by |x| and |y|
+FLAG_BLOCKS = (((0,), (0,), 1), ((1,), (0, 1), 1))
+PRODUCT_BLOCKS = (((0,), (0,), 1), ((1,), (1,), 1))
 
 
 class KernelSpec:
@@ -111,20 +120,15 @@ class KernelSpec:
                               % (self.name, self.nargs, len(point)))
         return complex(self.evaluator(*point))
 
-    def singularity_distance(self, point):
-        """Distance proxy to the singular set: the smallest block norm."""
-        if self.singular_support == "none":
-            return math.inf
-        return min(sum(abs(point[i]) for i in span)
-                   for _, span, _ in self.blocks)
 
-    def size_bound(self, point, orders):
-        out = 1.0
-        for home, span, weight in self.blocks:
-            base = sum(abs(point[i]) for i in span)
-            power = weight + sum(orders[i] for i in home)
-            out *= base ** (-power)
-        return out
+def _size_bound(blocks, point, orders):
+    """Product over blocks of block norm ** -(weight + orders on its home)."""
+    out = 1.0
+    for home, span, weight in blocks:
+        base = sum(abs(point[i]) for i in span)
+        power = weight + sum(orders[i] for i in home)
+        out *= base ** (-power)
+    return out
 
 
 def _multi_indices(nargs, cap):
@@ -164,29 +168,36 @@ def _ladder_points(nargs, depth):
     return pts
 
 
-def _fit_size_constants(kernel, depth):
-    """Largest |finite-difference derivative| / size bound per order."""
+def _sample_derivatives(kernel, depth):
+    """(point, orders, |finite-difference derivative|) over the ladder."""
     orders_list = _multi_indices(kernel.nargs, max(_STENCILS))
-    fitted = {orders: 0.0 for orders in orders_list}
+    samples = []
     for point in _ladder_points(kernel.nargs, depth):
-        dist = kernel.singularity_distance(point)
-        if not math.isfinite(dist):
-            dist = max(abs(c) for c in point) + 1.0
-        # keep the stencil off every coordinate hyperplane as well, so a
-        # kernel more singular than its declared type is probed, not hit
-        step = min(dist, min(abs(c) for c in point)) / 16.0
+        # every block norm is at least the smallest |coordinate|; keeping the
+        # stencil off every coordinate hyperplane as well means a kernel more
+        # singular than its declared type is probed, not hit
+        step = min(abs(c) for c in point) / 16.0
         for orders in orders_list:
             value = _central_difference(kernel, point, orders, step)
             if not np.isfinite(value):
                 raise KernelError(
                     "kernel %s not finite off its singular set at %r"
                     % (kernel.name, point))
-            bound = kernel.size_bound(point, orders)
-            fitted[orders] = max(fitted[orders], abs(value) / bound)
+            samples.append((point, orders, abs(value)))
+    return samples
+
+
+def _fit_size_constants(samples, blocks):
+    """Largest |finite-difference derivative| / size bound per order."""
+    fitted = {}
+    for point, orders, value in samples:
+        fitted[orders] = max(fitted.get(orders, 0.0),
+                             value / _size_bound(blocks, point, orders))
     return fitted
 
 
-def _c2_bump_family():
+@functools.cache
+def bump_family():
     """Fixed family of C2-normalized bumps on [-1, 1].
 
     The base bump, its first-moment modulation, and two polynomial
@@ -223,16 +234,6 @@ def _c2_bump_family():
     return family
 
 
-_BUMPS = None
-
-
-def bump_family():
-    global _BUMPS
-    if _BUMPS is None:
-        _BUMPS = _c2_bump_family()
-    return _BUMPS
-
-
 def _midpoint_nodes(radius, count):
     """Symmetric midpoints +-(q + 1/2) h, never touching the origin."""
     h = radius / count
@@ -240,21 +241,20 @@ def _midpoint_nodes(radius, count):
     return np.concatenate([-half[::-1], half]), h
 
 
-def _fit_cancellation_constants(kernel, quad_count):
-    """Bump-pairing integrals in one variable, bounded by the other block.
+def _sample_pairings(kernel, quad_count):
+    """(axis, point with that axis at 0, |bump pairing|) per axis.
 
-    For each variable axis, each bump, and each dilation in the ladder,
-    integrate K against bump(delta * t) in that variable by symmetric
-    midpoint quadrature, and fit the constant against the size bound with
-    the integrated block removed.
+    For each variable axis that some block loads, each bump, and each
+    dilation in the ladder, integrate K against bump(delta * t) in that
+    variable by symmetric midpoint quadrature, with the other variables
+    held at each fixed evaluation value.
     """
-    fitted = {}
+    samples = []
     eval_values = (0.25, 0.5, 1.0)
+    loaded = {i for home, _, _ in kernel.blocks for i in home}
     for axis in range(kernel.nargs):
-        remaining = [b for b in kernel.blocks if axis not in b[0]]
-        if len(remaining) == len(kernel.blocks):
+        if axis not in loaded:
             continue
-        worst = 0.0
         for bump, scale in bump_family():
             for delta in DELTA_LADDER:
                 nodes, h = _midpoint_nodes(1.0 / delta, quad_count)
@@ -268,12 +268,17 @@ def _fit_cancellation_constants(kernel, quad_count):
                         point[axis] = t
                         total += w * kernel(*point)
                     point[axis] = 0.0
-                    bound = 1.0
-                    for home, span, weight in remaining:
-                        base = sum(abs(point[i]) for i in span)
-                        bound *= base ** (-weight)
-                    worst = max(worst, abs(total) / bound)
-        fitted[axis] = worst
+                    samples.append((axis, tuple(point), abs(total)))
+    return samples
+
+
+def _fit_cancellation_constants(samples, blocks):
+    """Largest |bump pairing| / size bound with the integrated block removed."""
+    fitted = {}
+    for axis, point, value in samples:
+        remaining = [b for b in blocks if axis not in b[0]]
+        bound = _size_bound(remaining, point, (0,) * len(point))
+        fitted[axis] = max(fitted.get(axis, 0.0), value / bound)
     return fitted
 
 
@@ -296,59 +301,46 @@ def _budget_depth(sample_budget, nargs):
     return max(5, min(12, depth))
 
 
-def _run_validation(kernel, sample_budget, label):
+def _run_validation(kernel, sample_budget, families):
+    """One report per (label, blocks) family, all fitted to one sampling."""
     depth = _budget_depth(sample_budget, kernel.nargs)
     quad = max(128, sample_budget // 8)
-    refinements = []
-    for level, (d, q) in enumerate(((depth, quad), (depth + 3, 2 * quad))):
-        refinements.append({
+    levels = [(d, q, _sample_derivatives(kernel, d), _sample_pairings(kernel, q))
+              for d, q in ((depth, quad), (depth + 3, 2 * quad))]
+    reports = []
+    for label, blocks in families:
+        refinements = [{
             "level": level,
             "ladder_depth": d,
             "quadrature_count": q,
-            "size_constants": _fit_size_constants(kernel, d),
-            "cancellation_constants": _fit_cancellation_constants(kernel, q),
+            "size_constants": _fit_size_constants(derivatives, blocks),
+            "cancellation_constants": _fit_cancellation_constants(pairings, blocks),
+        } for level, (d, q, derivatives, pairings) in enumerate(levels)]
+        size_ratios = _refinement_ratio(refinements[0]["size_constants"],
+                                        refinements[1]["size_constants"])
+        canc_ratios = _refinement_ratio(refinements[0]["cancellation_constants"],
+                                        refinements[1]["cancellation_constants"])
+        all_ratios = list(size_ratios.values()) + list(canc_ratios.values())
+        max_ratio = max(all_ratios) if all_ratios else 1.0
+        stable = all(STABLE_LOW <= r <= STABLE_HIGH for r in all_ratios)
+        reports.append({
+            "kernel": kernel.name,
+            "bound_type": label,
+            "refinements": refinements,
+            "size_ratios": size_ratios,
+            "cancellation_ratios": canc_ratios,
+            "max_ratio": max_ratio,
+            "passes": stable,
+            "diverging": max_ratio >= DIVERGENCE_RATIO,
         })
-    size_ratios = _refinement_ratio(refinements[0]["size_constants"],
-                                    refinements[1]["size_constants"])
-    canc_ratios = _refinement_ratio(refinements[0]["cancellation_constants"],
-                                    refinements[1]["cancellation_constants"])
-    all_ratios = list(size_ratios.values()) + list(canc_ratios.values())
-    max_ratio = max(all_ratios) if all_ratios else 1.0
-    stable = all(STABLE_LOW <= r <= STABLE_HIGH for r in all_ratios)
-    return {
-        "kernel": kernel.name,
-        "bound_type": label,
-        "refinements": refinements,
-        "size_ratios": size_ratios,
-        "cancellation_ratios": canc_ratios,
-        "max_ratio": max_ratio,
-        "passes": stable,
-        "diverging": max_ratio >= DIVERGENCE_RATIO,
-    }
+    return reports
 
 
 def validate_product_kernel(kernel, sample_budget=4096):
     """Certify the per-factor product size and cancellation bounds."""
     if kernel.singular_support not in ("product", "none"):
         raise KernelError("product validation needs a product-type kernel")
-    return _run_validation(kernel, sample_budget, "product")
-
-
-def _product_contrast_spec(kernel):
-    """The same evaluator under independent per-factor bounds.
-
-    Splits every multi-variable block into singleton blocks so the bound
-    is the pure-product one on the flag singularity geometry.
-    """
-    blocks = []
-    seen_home = set()
-    for home, span, weight in kernel.blocks:
-        for i in home:
-            if i not in seen_home:
-                blocks.append(((i,), (i,), weight))
-                seen_home.add(i)
-    return KernelSpec(kernel.name + ":product-contrast", kernel.evaluator,
-                      "product", blocks, kernel.nargs)
+    return _run_validation(kernel, sample_budget, (("product", kernel.blocks),))[0]
 
 
 def validate_flag_kernel(kernel, sample_budget=4096):
@@ -358,14 +350,20 @@ def validate_flag_kernel(kernel, sample_budget=4096):
     cancellation at fixed evaluation points of the other variable; the
     joint cancellation condition is not checked, so a passing kernel
     (k2-flag is one) can still have log-divergent sharp truncations.
-    The contrast re-runs the sampler with the stricter independent
-    per-factor bounds, so the report shows both verdicts side by side.
+    The kernel is sampled once per level, and the contrast fits the same
+    samples to the stricter independent per-factor bounds (one singleton
+    block per loaded variable), so the report shows both verdicts side by
+    side.
     """
     if kernel.singular_support not in ("flag", "none"):
         raise KernelError("flag validation needs a flag-type kernel")
-    report = _run_validation(kernel, sample_budget, "flag")
-    contrast = _run_validation(_product_contrast_spec(kernel), sample_budget,
-                               "product-contrast")
+    singletons = {}
+    for home, _, weight in kernel.blocks:
+        for i in home:
+            singletons.setdefault(i, ((i,), (i,), weight))
+    report, contrast = _run_validation(
+        kernel, sample_budget,
+        (("flag", kernel.blocks), ("product-contrast", tuple(singletons.values()))))
     report["product_contrast"] = {
         "passes": contrast["passes"],
         "max_ratio": contrast["max_ratio"],
@@ -413,8 +411,7 @@ def project_to_flag(ksharp):
         return total
 
     return KernelSpec(ksharp.name + ":projected",
-                      np.vectorize(projected, otypes=[complex]), "flag",
-                      (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
+                      np.vectorize(projected, otypes=[complex]), "flag", FLAG_BLOCKS, 2)
 
 
 def _torus_coordinates(grid):
@@ -444,8 +441,8 @@ def sample_truncated_kernel(kernel, grid, eps):
     coords = _torus_coordinates(grid)
     keep = np.ones(grid.shape, dtype=bool)
     if kernel.singular_support != "none":
-        # singularity_distance(point) > eps over the whole grid: the
-        # smallest block norm exceeds eps exactly when every one does
+        # keep a point when its smallest block norm exceeds eps, that is
+        # when every one does
         for _, span, _ in kernel.blocks:
             keep &= sum(np.abs(coords[i]) for i in span) > eps
     values = np.zeros(grid.shape, dtype=np.complex128)
@@ -545,12 +542,8 @@ def parse_kernel_expression(text):
 
 def custom_kernel(text, support):
     """Build a KernelSpec in x, y from an expression and a support descriptor."""
-    evaluator = parse_kernel_expression(text)
-    if support == "flag":
-        blocks = (((0,), (0,), 1), ((1,), (0, 1), 1))
-    else:
-        blocks = (((0,), (0,), 1), ((1,), (1,), 1))
-    return KernelSpec("custom", evaluator, support, blocks, 2)
+    blocks = FLAG_BLOCKS if support == "flag" else PRODUCT_BLOCKS
+    return KernelSpec("custom", parse_kernel_expression(text), support, blocks, 2)
 
 
 def _smooth_bump_2d(x, y):
@@ -571,16 +564,14 @@ def builtin_kernel(name):
     """Registry of the named kernels used throughout the test harness."""
     if name == "k1-product":
         return KernelSpec("k1-product", lambda x, y: 1.0 / (x * y),
-                          "product", (((0,), (0,), 1), ((1,), (1,), 1)), 2)
+                          "product", PRODUCT_BLOCKS, 2)
     if name == "k2-flag":
         return KernelSpec("k2-flag", lambda x, y: 1.0 / (x * (x + 1j * y)),
-                          "flag", (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
+                          "flag", FLAG_BLOCKS, 2)
     if name == "smooth-bump":
-        return KernelSpec("smooth-bump", _smooth_bump_2d, "none",
-                          (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
+        return KernelSpec("smooth-bump", _smooth_bump_2d, "none", FLAG_BLOCKS, 2)
     if name == "zero":
-        return KernelSpec("zero", lambda x, y: 0.0j, "flag",
-                          (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
+        return KernelSpec("zero", lambda x, y: 0.0j, "flag", FLAG_BLOCKS, 2)
     if name == "ksharp-smoothed":
         return KernelSpec("ksharp-smoothed", _ksharp_smoothed, "product",
                           (((0, 1), (0, 1), 2), ((2,), (2,), 1)), 3)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import flaglp
-from flaglp.kernels import KernelSpec
+from flaglp.kernels import FLAG_BLOCKS, KernelSpec
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +56,7 @@ def k2_odd_part():
     k2 = flaglp.builtin_kernel("k2-flag")
     return KernelSpec("k2-odd",
                       lambda x, y: k2.evaluator(x, y) - 1.0 / (x * x + y * y),
-                      "flag", k2.blocks, k2.nargs)
+                      "flag", FLAG_BLOCKS, 2)
 
 
 def dense_cyclic_convolution(filter_values, f_values):

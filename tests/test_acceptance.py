@@ -14,7 +14,7 @@ from flaglp import (analyze, builtin_kernel, convolution_operator_norm,
                     support_violations, synthesize_discrete,
                     validate_flag_kernel, validate_product_kernel)
 from flaglp.filters import lift_flag_filter
-from flaglp.kernels import KernelSpec
+from flaglp.kernels import FLAG_BLOCKS, KernelSpec
 from flaglp.squarefuncs import g_flag_discrete
 from flaglp.transform import (_anchor_slices, anchored_scales,
                               estimate_remainder_norm, low_pass_apply)
@@ -182,8 +182,7 @@ def test_acceptance_07_duality():
 def test_acceptance_08_kernel_contrast():
     k2 = validate_flag_kernel(builtin_kernel("k2-flag"))
     k1 = builtin_kernel("k1-product")
-    k1_as_flag = KernelSpec("k1-as-flag", k1.evaluator, "flag",
-                            (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
+    k1_as_flag = KernelSpec("k1-as-flag", k1.evaluator, "flag", FLAG_BLOCKS, 2)
     k1_flag = validate_flag_kernel(k1_as_flag)
     k1_product = validate_product_kernel(k1)
     ok = (k2["passes"] and k1_flag["diverging"] and k1_product["passes"])

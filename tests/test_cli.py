@@ -98,6 +98,18 @@ def test_kernel_validate_pass_and_fail(tmp_path):
                  "--out", str(tmp_path / "k1p")]) == 0
 
 
+def test_kernel_expr_with_leading_minus(tmp_path):
+    # K0 begins with a minus sign: attached with "=" it is a value, while as
+    # a separate argument argparse reads it as an option (usage error, 2)
+    k0 = "-i*y/(x*(x**2+y**2))"
+    assert main(["kernel", "validate", "--expr=" + k0, "--support", "flag",
+                 "--budget", "256", "--out", str(tmp_path / "k0")]) == 0
+    report = json.loads((tmp_path / "k0" / "kernel.json").read_text())
+    assert report["result"]["passes"] is True
+    assert main(["kernel", "validate", "--expr", k0, "--support", "flag",
+                 "--budget", "256", "--out", str(tmp_path / "sep")]) == 2
+
+
 def test_kernel_usage_errors_exit_2(tmp_path):
     # options that build no usable kernel are a usage error (2), not a failed validation (1):
     # the default k2-flag has two arguments, and projection needs three

@@ -10,8 +10,8 @@ from flaglp import (builtin_kernel, convolution_operator_norm, custom_kernel,
                     flag_convolve, majorant_check, project_to_flag,
                     validate_flag_kernel, validate_product_kernel)
 from flaglp.errors import IntegrationError, KernelError, TruncationError
-from flaglp.kernels import (KernelSpec, bump_family, parse_kernel_expression,
-                            sample_truncated_kernel)
+from flaglp.kernels import (FLAG_BLOCKS, PRODUCT_BLOCKS, KernelSpec, bump_family,
+                            parse_kernel_expression, sample_truncated_kernel)
 
 from conftest import k2_odd_part, random_function
 
@@ -22,15 +22,61 @@ def test_k2_flag_passes():
     assert not report["diverging"]
 
 
+CONTRAST_KEYS = ("passes", "max_ratio", "size_ratios")
+
+
 def test_k1_flag_diverges_product_passes():
     k1 = builtin_kernel("k1-product")
     product = validate_product_kernel(k1)
     assert product["passes"], product["max_ratio"]
-    as_flag = KernelSpec("k1-as-flag", k1.evaluator, "flag",
-                         (((0,), (0,), 1), ((1,), (0, 1), 1)), 2)
+    as_flag = KernelSpec("k1-as-flag", k1.evaluator, "flag", FLAG_BLOCKS, 2)
     report = validate_flag_kernel(as_flag)
     assert report["diverging"], report["max_ratio"]
     assert not report["passes"]
+    # k1-product is the per-factor contrast of its own flag reading
+    assert report["product_contrast"] == {key: product[key] for key in CONTRAST_KEYS}
+
+
+def test_flag_validation_samples_the_kernel_once():
+    # the product contrast refits the flag run's samples, so a flag
+    # validation calls the kernel exactly as often as a product validation
+    # of the same evaluator, and its contrast is that product report
+    k2 = builtin_kernel("k2-flag")
+    calls = {"flag": 0, "product": 0}
+
+    def counting(label):
+        def evaluator(x, y):
+            calls[label] += 1
+            return k2.evaluator(x, y)
+        return evaluator
+
+    flag = validate_flag_kernel(KernelSpec("k2", counting("flag"), "flag", FLAG_BLOCKS, 2), 256)
+    product = validate_product_kernel(
+        KernelSpec("k2", counting("product"), "product", PRODUCT_BLOCKS, 2), 256)
+    assert calls["flag"] == calls["product"] > 0
+    assert flag["product_contrast"] == {key: product[key] for key in CONTRAST_KEYS}
+
+
+def contrast_kernel(label):
+    if label == "k2-odd":
+        return k2_odd_part()
+    if label == "weight-2":
+        return KernelSpec("weight-2", lambda x, y: 1.0 / (x * x * (x + 1j * y)), "flag",
+                          (((0,), (0,), 2), ((1,), (0, 1), 1)), 2)
+    return builtin_kernel(label)
+
+
+@pytest.mark.parametrize("label, per_factor", [
+    ("k2-odd", PRODUCT_BLOCKS), ("smooth-bump", PRODUCT_BLOCKS), ("zero", PRODUCT_BLOCKS),
+    ("weight-2", (((0,), (0,), 2), ((1,), (1,), 1)))])
+def test_product_contrast_is_product_validation(label, per_factor):
+    # the contrast is the product verdict of the same evaluator under one
+    # singleton block per variable, with the weight of the first block it loads
+    kernel = contrast_kernel(label)
+    contrast = validate_flag_kernel(kernel, 256)["product_contrast"]
+    product = validate_product_kernel(
+        KernelSpec(kernel.name, kernel.evaluator, "product", per_factor, kernel.nargs), 256)
+    assert contrast == {key: product[key] for key in CONTRAST_KEYS}
 
 
 def test_zero_kernel_trivial(tiny):
@@ -63,7 +109,11 @@ def test_truncation_below_spacing_rejected(tiny):
 
 
 def per_point_samples(kernel, grid, eps):
-    """Reference sampler: one scalar kernel call per kept torus point."""
+    """Reference sampler: one scalar kernel call per kept torus point.
+
+    A point is kept when the kernel has no singular set ("none") or when
+    its smallest block norm exceeds eps.
+    """
     axes = []
     for size in grid.shape:
         idx = np.arange(size, dtype=np.float64)
@@ -74,7 +124,8 @@ def per_point_samples(kernel, grid, eps):
     kept = np.zeros(flat[0].size, dtype=bool)
     for idx in range(values.size):
         point = tuple(f[idx] for f in flat)
-        if kernel.singularity_distance(point) > eps:
+        if kernel.singular_support == "none" or min(
+                sum(abs(point[i]) for i in span) for _, span, _ in kernel.blocks) > eps:
             kept[idx] = True
             values[idx] = kernel(*point)
     return values.reshape(grid.shape) * grid.spacing ** grid.ndim, kept.reshape(grid.shape)

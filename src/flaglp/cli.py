@@ -1,13 +1,18 @@
 """Batch command-line front end.
 
 Every subcommand reads sampled functions in the binary block format,
-runs one library operation, and writes a self-describing JSON report
-plus any binary artifacts.  Reports embed the resolved configuration
-and the library version, floats are printed with 17 significant digits,
-and key order is fixed, so identical invocations produce identical
-bytes.
+runs one library operation, writes its binary artifacts into `--out` and
+returns the fields of its report.  One runner, `run`, writes every
+report: it creates `--out`, prefixes the fields with the command, the
+library version, the resolved configuration and the grid and bank, and
+writes `<subcommand>.json` (`manifest.json` for `gen-corpus`).  Floats
+are printed with 17 significant digits and key order is fixed, so
+identical invocations produce identical bytes.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or input error.
+Exit codes: 0 success; 1 a failed validation (`kernel validate` or
+`verify` reports `passes` false) or a failed computation (divergence,
+no convergence, a kernel or quadrature failure); 2 a usage or input
+error, including an option value outside its domain.
 """
 
 import argparse
@@ -22,7 +27,9 @@ from .blockio import read_block, write_block
 from .carleson import cmo_norm, generate_candidates
 from .corpus import gen_corpus
 from .czd import cz_decompose, support_violations
-from .errors import ConfigurationError, FlagLPError, KernelError
+from .errors import (ConfigurationError, DomainError, FlagLPError, KernelError,
+                     RangeError, ResolutionError, ShapeMismatchError,
+                     TruncationError)
 from .filters import FilterProfile, _partition_residual, bank_from_config, build_filter_bank
 from .grid import SampledFunction, lp_norm, make_grid
 from .kernels import (builtin_kernel, convolution_operator_norm,
@@ -33,9 +40,12 @@ from .squarefuncs import g_flag, hardy_norm
 from .transform import (CoefficientField, analyze, estimate_remainder_norm,
                         low_pass_apply, neumann_inverse, synthesize_discrete)
 
-VERIFY_SUITES = ("partition", "plancherel", "remainder-decay", "roundtrip")
-
 DEFAULT_OFFSET = 3
+
+# errors that exit 2: bad input files and option values outside their
+# domain; every other library error is a failed computation and exits 1
+USAGE_ERRORS = (OSError, ConfigurationError, DomainError, RangeError,
+                ResolutionError, ShapeMismatchError, TruncationError)
 
 
 def _format_float(x):
@@ -46,14 +56,21 @@ def _format_float(x):
     return "%.17g" % x
 
 
+def _format_key(key):
+    return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+
 def dump_json(obj, indent=0):
-    """JSON emitter with insertion-ordered keys and %.17g floats."""
+    """JSON emitter with insertion-ordered keys and %.17g floats.
+
+    A tuple key (a, b) is written as "a,b".
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = ",\n".join("%s%s: %s" % (inner, json.dumps(str(k)),
+        items = ",\n".join("%s%s: %s" % (inner, json.dumps(_format_key(k)),
                                          dump_json(v, indent + 1))
                            for k, v in obj.items())
         return "{\n%s\n%s}" % (items, pad)
@@ -72,12 +89,6 @@ def dump_json(obj, indent=0):
         return dump_json({"re": float(obj.real), "im": float(obj.imag)},
                          indent)
     return json.dumps(str(obj))
-
-
-def _write_report(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(report))
-        fh.write("\n")
 
 
 def _bank_for(grid, args):
@@ -99,45 +110,19 @@ def _bank_for(grid, args):
     return bank
 
 
-def _report_header(command, args, grid=None, bank=None):
-    # the output directory does not affect results and would break
-    # byte-identical reports across runs
-    config = {key: value for key, value in sorted(vars(args).items())
-              if key not in ("func", "out")}
-    out = {"command": command, "version": __version__, "config": config}
-    if grid is not None:
-        out["grid"] = {"n": grid.n, "m": grid.m, "L": grid.L}
-    if bank is not None:
-        out["bank"] = bank.identifier()
-    return out
-
-
 def _load_input(path):
     if not os.path.exists(path):
         raise FileNotFoundError("input block %r does not exist" % (path,))
     return read_block(path)
 
 
-def _out_dir(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
+# Each cmd_* writes its artifacts into args.out and returns
+# (grid, bank, fields); either of grid and bank may be None.
 
 def cmd_analyze(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
     coeffs = analyze(f, bank)
-    out = _out_dir(args)
-    report = _report_header("analyze", args, f.grid, bank)
-    channels = {}
-    for (j, k), slot in sorted(coeffs.slots.items()):
-        channels["%d,%d" % (j, k)] = {
-            "shape": list(slot.shape),
-            "energy": float(np.sum(np.abs(slot) ** 2)),
-        }
-    report["channels"] = channels
-    report["low_pass_energy"] = float(
-        np.sum(np.abs(coeffs.low_pass) ** 2) * f.grid.cell_volume)
     if args.dump_coeffs:
         payload = {"slot_%d_%d" % key: slot
                    for key, slot in coeffs.slots.items()}
@@ -146,9 +131,14 @@ def cmd_analyze(args):
             "n": f.grid.n, "m": f.grid.m, "L": f.grid.L,
             "offset": bank.N, "bank": bank.config(),
         }).encode("utf-8"))
-        np.savez(os.path.join(out, "coeffs.npz"), **payload)
-    _write_report(os.path.join(out, "analyze.json"), report)
-    return 0
+        np.savez(os.path.join(args.out, "coeffs.npz"), **payload)
+    channels = {key: {"shape": list(slot.shape),
+                      "energy": float(np.sum(np.abs(slot) ** 2))}
+                for key, slot in sorted(coeffs.slots.items())}
+    return f.grid, bank, {
+        "channels": channels,
+        "low_pass_energy": float(np.sum(np.abs(coeffs.low_pass) ** 2)
+                                 * f.grid.cell_volume)}
 
 
 def cmd_synthesize(args):
@@ -168,70 +158,42 @@ def cmd_synthesize(args):
         # everything above reads only the file: an input error, not a failed validation
         raise ConfigurationError("malformed coefficient file %r: %s"
                                  % (args.input, exc)) from None
-    out = _out_dir(args)
-    write_block(os.path.join(out, "synthesized.bin"), f)
+    write_block(os.path.join(args.out, "synthesized.bin"), f)
     # the bank and its offset come from the coefficient file, not from options
     args.offset = bank.N
-    report = _report_header("synthesize", args, grid, bank)
-    report["l2_norm"] = lp_norm(f, 2.0)
-    _write_report(os.path.join(out, "synthesize.json"), report)
-    return 0
+    return grid, bank, {"l2_norm": lp_norm(f, 2.0)}
 
 
 def cmd_squarefunc(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
     sf = g_flag(f, bank)
-    out = _out_dir(args)
-    write_block(os.path.join(out, "squarefunc.bin"), sf)
-    report = _report_header("squarefunc", args, f.grid, bank)
-    report["l2_norm"] = lp_norm(sf, 2.0)
-    report["sup"] = float(np.max(np.abs(sf.values)))
-    _write_report(os.path.join(out, "squarefunc.json"), report)
-    return 0
+    write_block(os.path.join(args.out, "squarefunc.bin"), sf)
+    return f.grid, bank, {"l2_norm": lp_norm(sf, 2.0),
+                          "sup": float(np.max(np.abs(sf.values)))}
 
 
 def cmd_hardy_norm(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
-    value = hardy_norm(f, bank, args.p)
-    out = _out_dir(args)
-    report = _report_header("hardy-norm", args, f.grid, bank)
-    report["p"] = args.p
-    report["norm"] = value
-    _write_report(os.path.join(out, "hardy-norm.json"), report)
-    return 0
+    return f.grid, bank, {"p": args.p, "norm": hardy_norm(f, bank, args.p)}
 
 
 def cmd_cmo_norm(args):
     f = _load_input(args.input)
     bank = _bank_for(f.grid, args)
-    coeffs = analyze(f, bank)
-    budget = args.candidates
-    if args.auto_budget:
-        budget = max(8, f.grid.samples_per_axis)
-    candidates = generate_candidates(coeffs, budget)
-    value = cmo_norm(f, bank, args.p, candidates)
-    out = _out_dir(args)
-    report = _report_header("cmo-norm", args, f.grid, bank)
-    report["p"] = args.p
-    report["candidate_count"] = len(candidates)
-    report["norm"] = value
-    _write_report(os.path.join(out, "cmo-norm.json"), report)
-    return 0
+    candidates = generate_candidates(analyze(f, bank), args.candidates)
+    return f.grid, bank, {"p": args.p, "candidate_count": len(candidates),
+                          "norm": cmo_norm(f, bank, args.p, candidates)}
 
 
 def cmd_maximal(args):
     f = _load_input(args.input)
     op = hl_maximal if args.family == "dyadic-cubes" else strong_maximal
     mf = op(f)
-    out = _out_dir(args)
-    write_block(os.path.join(out, "maximal.bin"), mf)
-    report = _report_header("maximal", args, f.grid)
-    report["family"] = args.family
-    report["sup"] = float(np.max(mf.values.real))
-    _write_report(os.path.join(out, "maximal.json"), report)
-    return 0
+    write_block(os.path.join(args.out, "maximal.bin"), mf)
+    return f.grid, None, {"family": args.family,
+                          "sup": float(np.max(mf.values.real))}
 
 
 def cmd_cz_decompose(args):
@@ -239,73 +201,46 @@ def cmd_cz_decompose(args):
     bank = _bank_for(f.grid, args)
     good, bad, rep = cz_decompose(f, bank, args.alpha, p=args.p, p1=args.p1,
                                   p2=args.p2, tol=args.tol)
-    out = _out_dir(args)
-    write_block(os.path.join(out, "good.bin"), good)
-    write_block(os.path.join(out, "bad.bin"), bad)
-    report = _report_header("cz-decompose", args, f.grid, bank)
-    report["alpha"] = rep.alpha
-    report["g_norm"] = rep.g_norm
-    report["b_norm"] = rep.b_norm
-    report["f_norm"] = rep.f_norm
-    report["fitted_c_g"] = rep.fitted_c_g
-    report["fitted_c_b"] = rep.fitted_c_b
-    report["neumann_iterations"] = rep.iterations
-    report["level_set_measures"] = list(rep.level_set_measures)
-    report["support_violations"] = support_violations(rep, bank)
-    residual = good + bad - f
-    report["split_residual"] = lp_norm(residual, 2.0) / max(rep.f_norm, 1e-300)
-    _write_report(os.path.join(out, "cz-decompose.json"), report)
-    return 0
+    write_block(os.path.join(args.out, "good.bin"), good)
+    write_block(os.path.join(args.out, "bad.bin"), bad)
+    residual = lp_norm(good + bad - f, 2.0) / max(rep.f_norm, 1e-300)
+    return f.grid, bank, {
+        "alpha": rep.alpha,
+        "g_norm": rep.g_norm,
+        "b_norm": rep.b_norm,
+        "f_norm": rep.f_norm,
+        "fitted_c_g": rep.fitted_c_g,
+        "fitted_c_b": rep.fitted_c_b,
+        "neumann_iterations": rep.iterations,
+        "level_set_measures": list(rep.level_set_measures),
+        "support_violations": support_violations(rep, bank),
+        "split_residual": residual}
 
 
 def cmd_kernel(args):
-    out = _out_dir(args)
     try:
         kernel = custom_kernel(args.expr, args.support) if args.expr else builtin_kernel(args.name)
         projected = project_to_flag(kernel) if args.action == "project" else None
     except KernelError as exc:
         # the options name no usable kernel: a usage error, not a failed validation
         raise ConfigurationError(str(exc)) from None
-    report = _report_header("kernel", args)
-    report["kernel"] = kernel.name
-    report["action"] = args.action
+    fields = {"kernel": kernel.name, "action": args.action}
     if args.action == "validate":
-        if kernel.singular_support == "product":
-            result = validate_product_kernel(kernel, args.budget)
-        else:
-            result = validate_flag_kernel(kernel, args.budget)
-        result = _jsonable_validation(result)
-        report["result"] = result
-        _write_report(os.path.join(out, "kernel.json"), report)
-        return 0 if result["passes"] else 1
-    if args.action == "project":
-        samples = {}
-        for x in (0.25, 0.5, 1.0):
-            for y in (0.25, 0.5, 1.0):
-                samples["%g,%g" % (x, y)] = projected(x, y)
-        report["samples"] = samples
-        _write_report(os.path.join(out, "kernel.json"), report)
-        return 0
-    f = _load_input(args.input)
-    eps = args.eps_factor * f.grid.spacing
-    result = flag_convolve(f, kernel, eps)
-    write_block(os.path.join(out, "convolved.bin"), result)
-    report["eps"] = eps
-    report["operator_norm"] = convolution_operator_norm(kernel, f.grid, eps)
-    report["l2_norm"] = lp_norm(result, 2.0)
-    _write_report(os.path.join(out, "kernel.json"), report)
-    return 0
-
-
-def _jsonable_validation(result):
-    def fix(obj):
-        if isinstance(obj, dict):
-            return {("%s" % (",".join(map(str, k))) if isinstance(k, tuple)
-                     else str(k)): fix(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [fix(v) for v in obj]
-        return obj
-    return fix(result)
+        validate = (validate_product_kernel if kernel.singular_support == "product"
+                    else validate_flag_kernel)
+        fields["result"] = validate(kernel, args.budget)
+    elif args.action == "project":
+        fields["samples"] = {"%g,%g" % (x, y): projected(x, y)
+                             for x in (0.25, 0.5, 1.0) for y in (0.25, 0.5, 1.0)}
+    else:
+        f = _load_input(args.input)
+        eps = args.eps_factor * f.grid.spacing
+        result = flag_convolve(f, kernel, eps)
+        write_block(os.path.join(args.out, "convolved.bin"), result)
+        fields["eps"] = eps
+        fields["operator_norm"] = convolution_operator_norm(kernel, f.grid, eps)
+        fields["l2_norm"] = lp_norm(result, 2.0)
+    return None, None, fields
 
 
 def _verify_partition(L):
@@ -316,10 +251,10 @@ def _verify_partition(L):
     return residual, residual <= 1e-10
 
 
-def _verify_plancherel(L, seed=11):
+def _verify_plancherel(L):
     grid = make_grid(1, 1, L)
     bank = build_filter_bank(grid, FilterProfile(), 2)
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
     worst = 0.0
     for _ in range(5):
         f = SampledFunction(grid, rng.standard_normal(grid.shape)
@@ -343,10 +278,10 @@ def _verify_remainder_decay(L):
     return max(norms), ok
 
 
-def _verify_roundtrip(L, seed=13):
+def _verify_roundtrip(L):
     grid = make_grid(1, 1, L)
     bank = build_filter_bank(grid, FilterProfile(), 3)
-    functions, _ = gen_corpus(grid, 4, seed, bank=bank)
+    functions, _ = gen_corpus(grid, 4, 13, bank=bank)
     worst = 0.0
     for f in functions:
         inverted, _ = neumann_inverse(f, bank, tol=1e-8)
@@ -357,35 +292,27 @@ def _verify_roundtrip(L, seed=13):
     return worst, worst <= 1e-7
 
 
+VERIFY_SUITES = {
+    "partition": _verify_partition,
+    "plancherel": _verify_plancherel,
+    "remainder-decay": _verify_remainder_decay,
+    "roundtrip": _verify_roundtrip,
+}
+
+
 def cmd_verify(args):
-    runners = {
-        "partition": _verify_partition,
-        "plancherel": _verify_plancherel,
-        "remainder-decay": _verify_remainder_decay,
-        "roundtrip": _verify_roundtrip,
-    }
-    residual, ok = runners[args.suite](args.L)
-    out = _out_dir(args)
-    report = _report_header("verify", args)
-    report["suite"] = args.suite
-    report["L"] = args.L
-    report["maxResidual"] = residual
-    report["passes"] = ok
-    _write_report(os.path.join(out, "verify.json"), report)
-    return 0 if ok else 1
+    residual, ok = VERIFY_SUITES[args.suite](args.L)
+    return None, None, {"suite": args.suite, "L": args.L,
+                        "maxResidual": residual, "passes": ok}
 
 
 def cmd_gen_corpus(args):
     grid = make_grid(args.n, args.m, args.L)
     functions, manifest = gen_corpus(grid, args.count, args.seed,
                                      bank=_bank_for(grid, args))
-    out = _out_dir(args)
     for idx, f in enumerate(functions):
-        write_block(os.path.join(out, "corpus-%03d.bin" % idx), f)
-    report = _report_header("gen-corpus", args, grid)
-    report["manifest"] = manifest
-    _write_report(os.path.join(out, "manifest.json"), report)
-    return 0
+        write_block(os.path.join(args.out, "corpus-%03d.bin" % idx), f)
+    return grid, None, {"manifest": manifest}
 
 
 def _add_out(sub):
@@ -439,7 +366,6 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--candidates", type=int, default=32)
-    p.add_argument("--auto-budget", action="store_true")
     _add_bank_options(p)
     p.set_defaults(func=cmd_cmo_norm)
 
@@ -494,20 +420,41 @@ def build_parser():
     return parser
 
 
+def run(args):
+    """Run a parsed subcommand, write its report and return the exit code."""
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        grid, bank, fields = args.func(args)
+        # the output directory does not affect results and would break
+        # byte-identical reports across runs; the config is read after the
+        # subcommand ran, because _bank_for records the bank's N in it
+        config = {key: value for key, value in sorted(vars(args).items())
+                  if key not in ("func", "out")}
+        report = {"command": args.subcommand, "version": __version__,
+                  "config": config}
+        if grid is not None:
+            report["grid"] = {"n": grid.n, "m": grid.m, "L": grid.L}
+        if bank is not None:
+            report["bank"] = bank.identifier()
+        report.update(fields)
+        name = "manifest" if args.subcommand == "gen-corpus" else args.subcommand
+        with open(os.path.join(args.out, name + ".json"), "w", encoding="utf-8") as fh:
+            fh.write(dump_json(report) + "\n")
+    except (OSError, FlagLPError) as exc:
+        print("error: %s" % (exc,), file=sys.stderr)
+        return 2 if isinstance(exc, USAGE_ERRORS) else 1
+    # kernel validate reports its verdict in result, verify at the top level
+    verdict = fields.get("result", fields).get("passes", True)
+    return 0 if verdict else 1
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-    try:
-        return args.func(args)
-    except (FileNotFoundError, OSError, ConfigurationError) as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
-    except FlagLPError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 1
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -542,7 +542,7 @@ def parse_kernel_expression(text):
 
 def custom_kernel(text, support):
     """Build a KernelSpec in x, y from an expression and a support descriptor."""
-    blocks = FLAG_BLOCKS if support == "flag" else PRODUCT_BLOCKS
+    blocks = PRODUCT_BLOCKS if support == "product" else FLAG_BLOCKS
     return KernelSpec("custom", parse_kernel_expression(text), support, blocks, 2)
 
 

@@ -8,10 +8,6 @@ import flaglp
 from flaglp.cli import main
 
 
-def run(tmp_path, *args):
-    return main([*args, "--out", str(tmp_path)])
-
-
 @pytest.fixture()
 def corpus_dir(tmp_path):
     d = tmp_path / "corpus"
@@ -28,14 +24,37 @@ def test_gen_corpus_outputs(corpus_dir):
     assert manifest["manifest"]["generator"] == "philox4x64"
 
 
-def test_analyze_deterministic(corpus_dir, tmp_path):
+# every subcommand and kernel action but kernel project, which needs scipy;
+# BLOCK and COEFFS stand for the corpus block and an analyze --dump-coeffs file
+DETERMINISM_CASES = {
+    "gen-corpus": ["gen-corpus", "--count", "2", "--L", "6"],
+    "analyze": ["analyze", "BLOCK", "--dump-coeffs"],
+    "synthesize": ["synthesize", "COEFFS"],
+    "squarefunc": ["squarefunc", "BLOCK"],
+    "hardy-norm": ["hardy-norm", "BLOCK", "--p", "0.9"],
+    "cmo-norm": ["cmo-norm", "BLOCK", "--candidates", "8"],
+    "maximal": ["maximal", "BLOCK"],
+    "cz-decompose": ["cz-decompose", "BLOCK", "--alpha", "0.5"],
+    "kernel-validate": ["kernel", "validate", "--budget", "256"],
+    "kernel-convolve": ["kernel", "convolve", "BLOCK"],
+    "verify": ["verify", "--suite", "plancherel", "--L", "6"],
+}
+
+
+@pytest.mark.parametrize("case", DETERMINISM_CASES)
+def test_reports_deterministic(case, corpus_dir, tmp_path):
     block = str(corpus_dir / "corpus-000.bin")
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["analyze", block, "--out", str(out_a)]) == 0
-    assert main(["analyze", block, "--out", str(out_b)]) == 0
-    ra = (out_a / "analyze.json").read_bytes()
-    rb = (out_b / "analyze.json").read_bytes()
-    assert ra == rb
+    coeffs = tmp_path / "coeffs"
+    if case == "synthesize":
+        assert main(["analyze", block, "--dump-coeffs", "--out", str(coeffs)]) == 0
+    names = {"BLOCK": block, "COEFFS": str(coeffs / "coeffs.npz")}
+    args = [names.get(arg, arg) for arg in DETERMINISM_CASES[case]]
+    outputs = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        assert main([*args, "--out", str(run_dir)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in run_dir.iterdir()})
+    assert any(name.endswith(".json") for name in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_analyze_synthesize_roundtrip(corpus_dir, tmp_path):
@@ -270,6 +289,20 @@ def test_gen_corpus_builds_the_configured_bank(tmp_path):
     report = json.loads((tmp_path / "manifest.json").read_text())
     assert ":s3.0:N3:" in report["manifest"]["bank"]
     assert report["config"]["bank"] == "smoothness=3.0"
+
+
+def test_out_of_range_option_values_exit_2(corpus_dir, tmp_path):
+    block = str(corpus_dir / "corpus-000.bin")
+    # an option value outside its domain is a usage error
+    for command in (["hardy-norm", block, "--p", "2"], ["cmo-norm", block, "--p", "0"],
+                    ["cz-decompose", block, "--alpha", "-1"],
+                    ["kernel", "validate", "--budget", "8"],
+                    ["kernel", "convolve", block, "--eps-factor", "0.5"],
+                    ["gen-corpus", "--L", "4"]):
+        assert main([*command, "--out", str(tmp_path / "x")]) == 2, command
+    # a computation that fails is not: at N=1 the Neumann series diverges
+    assert main(["cz-decompose", block, "--alpha", "0.5", "--offset", "1",
+                 "--out", str(tmp_path / "x")]) == 1
 
 
 def test_bad_arguments_exit_2(tmp_path):

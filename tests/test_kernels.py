@@ -321,6 +321,15 @@ def test_custom_kernel_convolves(tiny):
     assert np.allclose(out.values, reference.values, rtol=1e-12)
 
 
+def test_custom_kernel_blocks_follow_the_support():
+    # only a product support gets per-factor blocks: a "none" kernel is
+    # certified as a flag kernel, like the builtin smooth-bump
+    none = custom_kernel("exp(-abs(x))/(1+y*y)", "none")
+    assert none.blocks == builtin_kernel("smooth-bump").blocks == FLAG_BLOCKS
+    assert custom_kernel("1/(x*y)", "product").blocks == PRODUCT_BLOCKS
+    assert custom_kernel("1/(x*(x+i*y))", "flag").blocks == FLAG_BLOCKS
+
+
 def test_unknown_builtin():
     with pytest.raises(KernelError):
         builtin_kernel("nope")

@@ -89,8 +89,10 @@ class FilterBank:
     sub-lattice.  low_pass1_hat / low_pass2_hat complete the per-factor
     partitions; low_pass_hat is the combined full-grid completion used by
     analysis.  scales lists the live (j, k) channels in (j, k) order:
-    those whose lifted filter is not identically zero.  anchored and
-    bypass_hat, the transforms' operator plan, are built on first use.
+    those whose lifted filter is not identically zero.  anchored,
+    bypass_hat and t_hat, the transforms' operator plan, are built on
+    first use (t_hat takes 16 MiB at L=10); alias_free says whether T is
+    the multiplier t_hat.
     """
 
     grid: Grid
@@ -133,6 +135,34 @@ class FilterBank:
             if j == self.j_range[1]:
                 power = power + lift_flag_filter(self, j, k) ** 2
         return np.sqrt(np.maximum(power, 0.0))
+
+    @property
+    def alias_free(self) -> bool:
+        """Certificate that T is the Fourier multiplier t_hat on this bank.
+
+        Anchored psi_{j,k} is supported in |xi| < r 2^j, r being the
+        profile's outer radius, and its anchor lattice repeats the spectrum
+        with period 2^(j+N) (on the second factor: radius r 2^min(j,k),
+        period 2^(min(j,k)+N)).  The copies are disjoint, so sampling
+        mixes no two frequencies, iff 2 r 2^j <= 2^(j+N), that is iff
+        r <= 2^(N-1); smooth_cutoff is exactly 0 from r outward, so the
+        boundary case is alias-free too.
+        """
+        return self.profile.outer_radius <= 2.0 ** (self.N - 1)
+
+    @cached_property
+    def t_hat(self) -> np.ndarray:
+        """Spectrum of T applied to a delta, by the folded channel loop.
+
+        On an alias-free bank T is the multiplier t_hat and T* is
+        conj(t_hat); elsewhere T couples each frequency to its aliases
+        and is no multiplier.  It is complex128 over the full grid
+        (256 KiB at L=7, 16 MiB at L=10) and is built on first use,
+        never by build_filter_bank.
+        """
+        from .transform import folded_reconstruction_hat  # transform imports this module
+
+        return folded_reconstruction_hat(np.ones(self.grid.shape, dtype=complex), self)
 
     def config(self) -> str:
         """key=value entries from which bank_from_config rebuilds this bank."""

@@ -18,10 +18,18 @@ sample of a length-M sequence periodizes its spectrum with period M/s, so
 the samples' length-M/s spectrum is the mean of the full one over its s
 aliases xi + a M/s, and spreading samples back repeats it over them.
 Reshaping each axis to (s, M/s) makes both a mean over, or a broadcast
-along, the alias axes, so T and T* cost one fftn/ifftn pair in all.  The
-bank's operator plan (FilterBank.anchored, FilterBank.bypass_hat) holds
-the fold shapes, the cell-sum factors and the bypass multiplier; lifted
-filters are formed on the fly, so no full-grid array is kept per channel.
+along, the alias axes, so the folded T and T* cost one fftn/ifftn pair in
+all plus one pass over the channels.  The bank's operator plan
+(FilterBank.anchored, FilterBank.bypass_hat) holds the fold shapes, the
+cell-sum factors and the bypass multiplier; lifted filters are formed on
+the fly, so no full-grid array is kept per channel.
+
+On an alias-free bank (FilterBank.alias_free: outer_radius <= 2^(N-1)) no
+channel's aliases overlap, so sampling mixes no two frequencies and T is
+the Fourier multiplier FilterBank.t_hat, built once by the folded loop;
+T is then ifftn(t_hat fftn(f)) and T* uses conj(t_hat).  The folded loop
+still runs on the other banks: every N=1 bank, and N=2 banks with
+outer_radius > 2.
 """
 
 from dataclasses import dataclass
@@ -89,11 +97,13 @@ def _anchor_slices(grid: Grid, j: int, k: int, N: int) -> tuple:
 
 
 def anchored_scales(bank: FilterBank) -> list:
-    """Live channels whose anchor lattice resolves them without aliasing.
+    """The live channels below the capped top scale, which are sampled on anchors.
 
     A channel at first-factor scale j has frequency support of radius
-    2^(j+1) and spectral copies spaced 2^(j+N) apart, so it is alias-free
-    for every scale except the capped top one.
+    r 2^j, r being the profile's outer radius, and its anchor lattice
+    repeats the spectrum every 2^(j+N).  The copies are disjoint for every
+    one of these channels exactly when r <= 2^(N-1) (FilterBank.alias_free);
+    at N=1, or wherever r > 2^(N-1), they overlap and sampling aliases.
     """
     return [(ch.j, ch.k) for ch in bank.anchored]
 
@@ -153,10 +163,27 @@ def synthesize_continuous(f: SampledFunction, bank: FilterBank) -> SampledFuncti
 def reconstruction_apply(
     f: SampledFunction, bank: FilterBank, adjoint: bool = False
 ) -> SampledFunction:
-    """Apply the anchor-sampled reconstruction operator T (or its adjoint)."""
+    """Apply the anchor-sampled reconstruction operator T (or its adjoint).
+
+    On an alias-free bank this is one multiplication by bank.t_hat.
+    """
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    fhat = np.fft.fftn(f.values)
+    spectrum = np.fft.fftn(f.values)
+    if bank.alias_free:
+        spectrum *= np.conj(bank.t_hat) if adjoint else bank.t_hat
+    else:
+        spectrum = folded_reconstruction_hat(spectrum, bank, adjoint)
+    return SampledFunction(bank.grid, np.fft.ifftn(spectrum))
+
+
+def folded_reconstruction_hat(fhat: np.ndarray, bank: FilterBank, adjoint: bool = False) -> np.ndarray:
+    """Spectrum of T f (or T* f) from the spectrum of f, by the folded channel loop.
+
+    Exact on every bank; reconstruction_apply uses it only where the bank
+    is not alias-free, and FilterBank.t_hat uses it once to build the
+    multiplier.
+    """
     out_hat = bank.bypass_hat ** 2 * fhat
     for ch in bank.anchored:
         psi = _folded_filter(bank, ch)
@@ -166,7 +193,7 @@ def reconstruction_apply(
         else:
             lattice = _cell_transfer(spectrum.mean(axis=ch.alias_axes, keepdims=True), ch)
         out_hat.reshape(ch.fold_shape)[...] += psi * lattice  # the reshape is a view
-    return SampledFunction(bank.grid, np.fft.ifftn(out_hat))
+    return out_hat
 
 
 def remainder_apply(

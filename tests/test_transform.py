@@ -5,10 +5,10 @@ import flaglp
 from flaglp import (CoefficientField, analyze, neumann_inverse, reconstruction_apply,
                     synthesize_continuous, synthesize_discrete)
 from flaglp.errors import ConvergenceError, DivergenceError, ShapeMismatchError
-from flaglp.filters import lift_flag_filter
+from flaglp.filters import FilterProfile, lift_flag_filter
 from flaglp.transform import (_anchor_slices, anchored_scales, band_projector,
-                              channel_convolution, estimate_remainder_norm, low_pass_apply,
-                              remainder_apply)
+                              channel_convolution, estimate_remainder_norm,
+                              folded_reconstruction_hat, low_pass_apply, remainder_apply)
 
 from conftest import dense_cyclic_convolution, random_function
 
@@ -225,12 +225,21 @@ def zero_fill_reference(f, bank, adjoint=False):
     return np.fft.ifftn(out)
 
 
-@pytest.fixture(scope="module", params=[(n, m, L, N) for n, m, L in FOLD_GRIDS for N in (2, 3)],
-                ids=lambda p: "%d%d-L%d-N%d" % p)
+def fold_case_id(param):
+    n, m, L, N, outer = param
+    return "%d%d-L%d-N%d" % (n, m, L, N) + ("" if outer == 2.0 else "-r%g" % outer)
+
+
+# N=1 and (N=2, outer_radius 2.5) are not alias-free, so reconstruction_apply
+# runs the folded channel loop there; elsewhere it applies the multiplier t_hat
+@pytest.fixture(scope="module", ids=fold_case_id,
+                params=[(n, m, L, N, outer) for n, m, L in FOLD_GRIDS
+                        for N, outer in ((1, 2.0), (2, 2.0), (2, 2.5), (3, 2.0))])
 def fold_case(request):
-    n, m, L, N = request.param
+    n, m, L, N, outer = request.param
     grid = flaglp.make_grid(n, m, L)
-    bank = flaglp.build_filter_bank(grid, N=N)
+    bank = flaglp.build_filter_bank(grid, FilterProfile(outer_radius=outer), N=N)
+    assert bank.alias_free == (N > 1 and outer <= 2.0)
     return grid, bank, random_function(grid, 10 * n + m + N)
 
 
@@ -307,3 +316,92 @@ def test_grid_mismatch_raises(small):
     f = random_function(other, 0)
     with pytest.raises(ShapeMismatchError):
         analyze(f, bank)
+
+
+# L=7 profiles on both sides of the certificate outer_radius <= 2^(N-1)
+L7_PROFILES = [
+    {},
+    {"outer_radius": 1.5},
+    {"outer_radius": 2.5},
+    {"outer_radius": 3.0},
+    {"inner_radius": 0.75},
+    {"inner_radius": 0.3, "outer_radius": 3.0},
+    {"smoothness": 3.0},
+]
+
+
+def profile_id(kwargs):
+    return ",".join("%s=%g" % item for item in kwargs.items()) or "default"
+
+
+def folded_reference(f, bank, adjoint=False):
+    return np.fft.ifftn(folded_reconstruction_hat(np.fft.fftn(f.values), bank, adjoint))
+
+
+def multiplier_error(bank, adjoint):
+    """Relative distance between the multiplier t_hat and the folded T on a random input."""
+    f = random_function(bank.grid, 3)
+    t_hat = np.conj(bank.t_hat) if adjoint else bank.t_hat
+    return rel_l2(np.fft.ifftn(t_hat * np.fft.fftn(f.values)), folded_reference(f, bank, adjoint))
+
+
+CERTIFIED_CASES = (
+    [((1, 1, 7), 2, {}), ((1, 1, 7), 3, {}), ((1, 1, 8), 3, {}), ((1, 1, 7), 4, {}),
+     ((2, 1, 5), 3, {}), ((1, 2, 5), 3, {})]
+    # every non-default profile except those with outer_radius above 2 at N=2
+    + [((1, 1, 7), N, kwargs) for N in (2, 3, 4) for kwargs in L7_PROFILES
+       if kwargs and not (N == 2 and kwargs.get("outer_radius", 2.0) > 2.0)]
+)
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["T", "T*"])
+@pytest.mark.parametrize("shape,N,kwargs", CERTIFIED_CASES,
+                         ids=["%d%d-L%d-N%d-%s" % (*c[0], c[1], profile_id(c[2]))
+                              for c in CERTIFIED_CASES])
+def test_certified_reconstruction_is_the_multiplier(shape, N, kwargs, adjoint):
+    # on an alias-free bank reconstruction_apply is one multiplication by
+    # t_hat (conj(t_hat) for T*); it must equal the folded channel loop and
+    # the zero-fill oracle
+    bank = flaglp.build_filter_bank(flaglp.make_grid(*shape), FilterProfile(**kwargs), N=N)
+    assert bank.alias_free
+    f = random_function(bank.grid, 21)
+    got = reconstruction_apply(f, bank, adjoint=adjoint).values
+    assert rel_l2(got, folded_reference(f, bank, adjoint)) <= 1e-12
+    assert rel_l2(got, zero_fill_reference(f, bank, adjoint)) <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs", L7_PROFILES, ids=profile_id)
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_certificate_holds_exactly_where_t_is_the_multiplier(N, kwargs):
+    # uncertified: N=1 (every profile), and N=2 with outer_radius 2.5 or 3.0
+    bank = flaglp.build_filter_bank(flaglp.make_grid(1, 1, 7), FilterProfile(**kwargs), N=N)
+    errors = [multiplier_error(bank, adjoint) for adjoint in (False, True)]
+    assert bank.alias_free == (max(errors) <= 1e-12), errors
+    if not bank.alias_free:
+        assert min(errors) > 1e-3, errors
+
+
+def test_t_hat_is_built_on_first_use(small3):
+    grid = small3[0]
+    bank = flaglp.build_filter_bank(grid, N=3)
+    assert "t_hat" not in vars(bank)
+    reconstruction_apply(random_function(grid, 1), bank)
+    assert vars(bank)["t_hat"].shape == grid.shape
+
+
+# Neumann iterations of the first 8 functions (two of each kind) of
+# gen_corpus(grid, 24, seed) at L=7, N=3 for tol 1e-8 and 1e-10, counted
+# with the folded channel loop applying every T
+PINNED_ITERATIONS = {
+    101: ([44, 43, 47, 44, 44, 41, 32, 44], [56, 55, 59, 56, 56, 53, 40, 56]),
+    102: ([45, 41, 41, 43, 43, 44, 41, 44], [57, 53, 51, 55, 55, 56, 51, 56]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_ITERATIONS))
+def test_neumann_iteration_counts_pinned(seed):
+    grid = flaglp.make_grid(1, 1, 7)
+    bank = flaglp.build_filter_bank(grid, N=3)
+    functions, _ = flaglp.gen_corpus(grid, 8, seed, bank=bank)
+    for tol, expected in zip((1e-8, 1e-10), PINNED_ITERATIONS[seed]):
+        assert [neumann_inverse(f, bank, tol=tol)[1] for f in functions] == expected

@@ -219,7 +219,10 @@ def band_projector(bank: FilterBank) -> np.ndarray:
 
 
 def estimate_remainder_norm(bank: FilterBank) -> float:
-    """Power-iteration estimate of ||R||_{2->2}."""
+    """||R||_{2->2}: exactly max |1 - t_hat| on an alias-free bank, where R is
+    that Fourier multiplier; elsewhere a power-iteration estimate from below."""
+    if bank.alias_free:
+        return float(np.max(np.abs(1.0 - bank.t_hat)))
     grid = bank.grid
     rng = np.random.default_rng(_POWER_SEED)
     v = SampledFunction(

@@ -24,7 +24,6 @@ def test_gen_corpus_outputs(corpus_dir):
     assert manifest["manifest"]["generator"] == "philox4x64"
 
 
-# every subcommand and kernel action but kernel project, which needs scipy;
 # BLOCK and COEFFS stand for the corpus block and an analyze --dump-coeffs file
 DETERMINISM_CASES = {
     "gen-corpus": ["gen-corpus", "--count", "2", "--L", "6"],
@@ -37,6 +36,7 @@ DETERMINISM_CASES = {
     "cz-decompose": ["cz-decompose", "BLOCK", "--alpha", "0.5"],
     "kernel-validate": ["kernel", "validate", "--budget", "256"],
     "kernel-convolve": ["kernel", "convolve", "BLOCK"],
+    "kernel-project": ["kernel", "project", "--name", "ksharp-smoothed"],
     "verify": ["verify", "--suite", "plancherel", "--L", "6"],
 }
 

@@ -133,6 +133,18 @@ def test_remainder_decay_monotone():
     assert all(a > b for a, b in zip(norms, norms[1:])), norms
 
 
+@pytest.mark.parametrize("N", [2, 3])
+def test_remainder_norm_is_dense_two_norm(N):
+    # exact on alias-free banks: the 2-norm of the dense matrix whose rows
+    # are R(delta) over the grid deltas, with T from the folded loop
+    grid = flaglp.make_grid(1, 1, 5)
+    bank = flaglp.build_filter_bank(grid, N=N)
+    assert bank.alias_free
+    rows = [(d - np.fft.ifftn(folded_reconstruction_hat(np.fft.fftn(d), bank))).ravel()
+            for d in np.eye(grid.shape[0] * grid.shape[1]).reshape(-1, *grid.shape)]
+    assert estimate_remainder_norm(bank) == pytest.approx(np.linalg.norm(np.array(rows), 2), rel=1e-12)
+
+
 def test_divergence_detected_below_contraction():
     # N = 1 and N = 2 undersample (measured remainder norm exceeds 1);
     # the inverse must refuse rather than loop or overflow

@@ -262,24 +262,39 @@ def test_projection_refuses_unconverged_integral(ksharp):
         project_to_flag(KernelSpec("bad", ksharp, "none", (), 3))(0.25, 0.5)
 
 
+def test_projection_of_smoothed_product_kernel_finite():
+    ksharp = builtin_kernel("ksharp-smoothed")
+    projected = project_to_flag(ksharp)
+    val = projected(0.25, 0.5)
+    assert np.isfinite(val.real) and np.isfinite(val.imag)
+
+
+def test_projection_needs_three_arguments():
+    with pytest.raises(KernelError):
+        project_to_flag(builtin_kernel("k2-flag"))
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
-sys.modules["scipy"] = None
 import flaglp
+import flaglp.cli
+from flaglp.errors import KernelError
 try:
     flaglp.project_to_flag(flaglp.builtin_kernel("k2-flag"))
-except flaglp.errors.KernelError:
+except KernelError:
     print("KernelError")
-print(abs(flaglp.project_to_flag(flaglp.builtin_kernel("ksharp-smoothed"))(0.25, 0.5)) < float("inf"))
+flaglp.project_to_flag(flaglp.builtin_kernel("ksharp-smoothed"))(0.25, 0.5)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_projection_runs_with_scipy_blocked():
+def test_import_and_refused_projection_do_not_load_scipy():
+    # neither the import, a refused projection nor a quadrature loads scipy
     src = os.path.dirname(os.path.dirname(flaglp.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     run = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == ["KernelError", "True"]
+    assert run.stdout.splitlines() == ["KernelError", "[]"]
 
 
 def test_parse_kernel_expression():

@@ -14,8 +14,7 @@ from .blocks import block_expand, block_reduce, block_sizes
 from .errors import ConfigurationError, DomainError, ShapeMismatchError
 from .filters import FilterBank
 from .grid import DyadicRectangle, Grid, SampledFunction, lp_norm_array
-from .squarefuncs import _channel_energies
-from .transform import CoefficientField
+from .transform import CoefficientField, channel_energies
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,10 @@ def cmo_norm(f: SampledFunction, bank: FilterBank, p: float, candidates: list) -
         raise DomainError(f"cmo_norm requires p in (0, 1], got {p}")
     if not candidates:
         raise ConfigurationError("cmo_norm needs a nonempty candidate family")
-    if f.grid != bank.grid:
-        raise ShapeMismatchError("function and bank live on different grids")
     grid = bank.grid
     cell_sums = {
         (j, k): block_reduce(energy, block_sizes(grid, j, k, bank.N), np.sum) * grid.cell_volume
-        for j, k, energy in _channel_energies(f, bank, bank.scales)
+        for j, k, energy in channel_energies(f, bank, bank.scales)
     }
     return _carleson_max(cell_sums, p, candidates, bank)
 

@@ -30,17 +30,16 @@ from .czd import cz_decompose, support_violations
 from .errors import (ConfigurationError, DomainError, FlagLPError, KernelError,
                      RangeError, ResolutionError, ShapeMismatchError,
                      TruncationError)
-from .filters import FilterProfile, _partition_residual, bank_from_config, build_filter_bank
+from .filters import (DEFAULT_OFFSET, FilterProfile, _partition_residual,
+                      bank_from_config, build_filter_bank)
 from .grid import SampledFunction, lp_norm, make_grid
-from .kernels import (builtin_kernel, convolution_operator_norm,
+from .kernels import (VALIDATION_BUDGET, builtin_kernel, convolution_operator_norm,
                       custom_kernel, flag_convolve, project_to_flag,
                       validate_flag_kernel, validate_product_kernel)
 from .maximal import hl_maximal, strong_maximal
 from .squarefuncs import g_flag, hardy_norm
 from .transform import (CoefficientField, analyze, estimate_remainder_norm,
                         low_pass_apply, neumann_inverse, synthesize_discrete)
-
-DEFAULT_OFFSET = 3
 
 # errors that exit 2: bad input files and option values outside their
 # domain; every other library error is a failed computation and exits 1
@@ -397,7 +396,7 @@ def build_parser():
                         "when it begins with a minus sign")
     p.add_argument("--support", choices=("product", "flag", "none"),
                    default="flag")
-    p.add_argument("--budget", type=int, default=2048)
+    p.add_argument("--budget", type=int, default=VALIDATION_BUDGET)
     p.add_argument("--eps-factor", type=float, default=2.0)
     _add_out(p)
     p.set_defaults(func=cmd_kernel)

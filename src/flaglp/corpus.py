@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .filters import FilterProfile, build_filter_bank
+from .filters import DEFAULT_OFFSET, FilterProfile, build_filter_bank
 from .grid import DyadicRectangle, SampledFunction, rectangle_index_shape
 from .transform import (CoefficientField, anchored_scales, band_projector,
                         synthesize_discrete)
@@ -113,8 +113,8 @@ def gen_corpus(grid, count, seed, bank=None, N=None, kinds=DEFAULT_KINDS):
 
     The functions are built on bank, whose offset is recorded in the
     manifest.  N only chooses the offset of the default-profile bank built
-    when none is given (default 2); with a bank, an N other than bank.N
-    raises ConfigurationError.
+    when none is given (default DEFAULT_OFFSET); with a bank, an N other
+    than bank.N raises ConfigurationError.
     """
     if count < 0:
         raise ConfigurationError("corpus count must be nonnegative")
@@ -122,7 +122,7 @@ def gen_corpus(grid, count, seed, bank=None, N=None, kinds=DEFAULT_KINDS):
         if kind not in DEFAULT_KINDS:
             raise ConfigurationError("unknown corpus kind %r" % (kind,))
     if bank is None:
-        bank = build_filter_bank(grid, FilterProfile(), 2 if N is None else N)
+        bank = build_filter_bank(grid, FilterProfile(), DEFAULT_OFFSET if N is None else N)
     elif N is not None and N != bank.N:
         raise ConfigurationError(
             "offset N=%d conflicts with the bank's N=%d" % (N, bank.N))

@@ -28,6 +28,10 @@ from .grid import Grid, SampledFunction
 # construction name, recorded in bank identifiers and export manifests
 _ANNULUS = "frequency-annulus"
 
+# the default offset N: the smallest at which the Neumann inverse converges
+# (||R|| = 2.10, 1.30, 0.74 at N = 1, 2, 3 and L = 8)
+DEFAULT_OFFSET = 3
+
 
 @dataclass(frozen=True)
 class FilterProfile:
@@ -238,7 +242,7 @@ def _live_scales(grid: Grid, psi1: list, psi2: list) -> tuple:
     return tuple(live)
 
 
-def build_filter_bank(grid: Grid, profile: FilterProfile = None, N: int = 2) -> FilterBank:
+def build_filter_bank(grid: Grid, profile: FilterProfile = None, N: int = DEFAULT_OFFSET) -> FilterBank:
     """Bank with an exact frequency partition on the lattice."""
     if profile is None:
         profile = FilterProfile()
@@ -313,7 +317,7 @@ def parse_bank_config(text: str) -> dict:
     return params
 
 
-def bank_from_config(grid: Grid, text: str, N: int = 2) -> FilterBank:
+def bank_from_config(grid: Grid, text: str, N: int = DEFAULT_OFFSET) -> FilterBank:
     """Bank from a key=value config; n_offset, when given, overrides N."""
     params = parse_bank_config(text)
     N = params.pop("n_offset", N)

@@ -53,6 +53,9 @@ STABLE_LOW = 0.5
 STABLE_HIGH = 1.5
 DIVERGENCE_RATIO = 4.0
 
+# default sample budget of a certification, the library's and the CLI's
+VALIDATION_BUDGET = 2048
+
 # cancellation dilation ladder, 2^-4 .. 2^4
 DELTA_LADDER = tuple(2.0 ** e for e in range(-4, 5))
 
@@ -333,14 +336,14 @@ def _run_validation(kernel, sample_budget, families):
     return reports
 
 
-def validate_product_kernel(kernel, sample_budget=4096):
+def validate_product_kernel(kernel, sample_budget=VALIDATION_BUDGET):
     """Certify the per-factor product size and cancellation bounds."""
     if kernel.singular_support not in ("product", "none"):
         raise KernelError("product validation needs a product-type kernel")
     return _run_validation(kernel, sample_budget, (("product", kernel.blocks),))[0]
 
 
-def validate_flag_kernel(kernel, sample_budget=4096):
+def validate_flag_kernel(kernel, sample_budget=VALIDATION_BUDGET):
     """Certify the asymmetric flag bounds, plus the product contrast.
 
     Passing certifies the flag size bounds and single-variable

@@ -6,24 +6,15 @@ import numpy as np
 
 from .blocks import block_expand, block_reduce, block_sizes
 from .errors import DomainError, ShapeMismatchError
-from .filters import FilterBank, lift_flag_filter
+from .filters import FilterBank
 from .grid import SampledFunction, lp_norm
-from .transform import CoefficientField, analyze, anchored_scales
-
-
-def _channel_energies(f: SampledFunction, bank: FilterBank, scales):
-    """Yield (j, k, |psi_jk * f|^2 on the full grid) for every scale in turn."""
-    fhat = np.fft.fftn(f.values)
-    for j, k in scales:
-        yield j, k, np.abs(np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)) ** 2
+from .transform import CoefficientField, analyze, anchored_scales, channel_energies
 
 
 def g_flag(f: SampledFunction, bank: FilterBank) -> SampledFunction:
     """Pointwise l2 aggregate of all channel convolutions (low-pass excluded)."""
-    if f.grid != bank.grid:
-        raise ShapeMismatchError("function and bank live on different grids")
     total = np.zeros(f.grid.shape)
-    for _, _, energy in _channel_energies(f, bank, bank.scales):
+    for _, _, energy in channel_energies(f, bank, bank.scales):
         total += energy
     return SampledFunction(f.grid, np.sqrt(total))
 
@@ -64,7 +55,7 @@ def _extreme_square_function(f: SampledFunction, bank: FilterBank, op) -> Sample
     grid = f.grid
     total = np.zeros(grid.shape)
     # same rectangle family as the anchor-sampled square function
-    for j, k, energy in _channel_energies(f, bank, anchored_scales(bank)):
+    for j, k, energy in channel_energies(f, bank, anchored_scales(bank)):
         sizes = block_sizes(grid, j, k, bank.N)
         total += block_expand(block_reduce(energy, sizes, op), sizes)
     return SampledFunction(grid, np.sqrt(total))
@@ -81,8 +72,6 @@ def pp_compare(
     Sup and inf are taken over the grid samples inside each rectangle; a
     0/0 ratio is reported as 1 with the degenerate flag set.
     """
-    if f.grid != bank_a.grid or f.grid != bank_b.grid:
-        raise ShapeMismatchError("function and banks live on different grids")
     # on one grid the offset fixes the scale window
     if bank_a.N != bank_b.N:
         raise ShapeMismatchError("banks have incompatible scale windows")

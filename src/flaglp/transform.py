@@ -30,6 +30,9 @@ the Fourier multiplier FilterBank.t_hat, built once by the folded loop;
 T is then ifftn(t_hat fftn(f)) and T* uses conj(t_hat).  The folded loop
 still runs on the other banks: every N=1 bank, and N=2 banks with
 outer_radius > 2.
+
+A function meets a bank only through _spectrum, which checks the grid;
+channel_energies feeds the square functions and the Carleson norms.
 """
 
 from dataclasses import dataclass
@@ -119,11 +122,16 @@ def _cell_transfer(arr: np.ndarray, ch, conj: bool = False) -> np.ndarray:
     return arr
 
 
-def analyze(f: SampledFunction, bank: FilterBank) -> CoefficientField:
-    """Channel convolutions subsampled at the rectangle anchors."""
+def _spectrum(f: SampledFunction, bank: FilterBank) -> np.ndarray:
+    """fftn of f's values, once f is known to live on the bank's grid."""
     if f.grid != bank.grid:
         raise ShapeMismatchError("function and bank live on different grids")
-    fhat = np.fft.fftn(f.values)
+    return np.fft.fftn(f.values)
+
+
+def analyze(f: SampledFunction, bank: FilterBank) -> CoefficientField:
+    """Channel convolutions subsampled at the rectangle anchors."""
+    fhat = _spectrum(f, bank)
     slots = {}
     for ch in bank.anchored:
         spectrum = _folded_filter(bank, ch) * fhat.reshape(ch.fold_shape)
@@ -132,31 +140,30 @@ def analyze(f: SampledFunction, bank: FilterBank) -> CoefficientField:
     return CoefficientField(bank=bank, slots=slots, low_pass=low_pass)
 
 
-def channel_convolution(f: SampledFunction, bank: FilterBank, j: int, k: int) -> np.ndarray:
-    """Full-grid convolution psi_{j,k} * f (no subsampling)."""
-    if f.grid != bank.grid:
-        raise ShapeMismatchError("function and bank live on different grids")
-    fhat = np.fft.fftn(f.values)
-    return np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)
+def channel_energies(f: SampledFunction, bank: FilterBank, scales):
+    """Yield (j, k, |psi_{j,k} * f|^2 on the full grid) for every scale in turn.
+
+    Energies, not convolutions: each complex channel array is freed before the next.
+    """
+    fhat = _spectrum(f, bank)
+    for j, k in scales:
+        yield j, k, np.abs(np.fft.ifftn(lift_flag_filter(bank, j, k) * fhat)) ** 2
 
 
 def low_pass_apply(f: SampledFunction, bank: FilterBank) -> SampledFunction:
     """One application of the combined low-pass filter."""
-    if f.grid != bank.grid:
-        raise ShapeMismatchError("function and bank live on different grids")
-    vals = np.fft.ifftn(bank.low_pass_hat * np.fft.fftn(f.values))
+    vals = np.fft.ifftn(bank.low_pass_hat * _spectrum(f, bank))
     return SampledFunction(f.grid, vals)
 
 
 def synthesize_continuous(f: SampledFunction, bank: FilterBank) -> SampledFunction:
     """Two-fold application of every channel plus the low-pass completion."""
-    if f.grid != bank.grid:
-        raise ShapeMismatchError("function and bank live on different grids")
+    fhat = _spectrum(f, bank)
     total = bank.low_pass_hat.astype(complex) ** 2
     for j, k in bank.scales:
         psi = lift_flag_filter(bank, j, k)
         total = total + psi * psi
-    vals = np.fft.ifftn(total * np.fft.fftn(f.values))
+    vals = np.fft.ifftn(total * fhat)
     return SampledFunction(f.grid, vals)
 
 
@@ -167,9 +174,7 @@ def reconstruction_apply(
 
     On an alias-free bank this is one multiplication by bank.t_hat.
     """
-    if f.grid != bank.grid:
-        raise ShapeMismatchError("function and bank live on different grids")
-    spectrum = np.fft.fftn(f.values)
+    spectrum = _spectrum(f, bank)
     if bank.alias_free:
         spectrum *= np.conj(bank.t_hat) if adjoint else bank.t_hat
     else:

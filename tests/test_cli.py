@@ -38,6 +38,8 @@ DETERMINISM_CASES = {
     "kernel-convolve": ["kernel", "convolve", "BLOCK"],
     "kernel-project": ["kernel", "project", "--name", "ksharp-smoothed"],
     "verify": ["verify", "--suite", "plancherel", "--L", "6"],
+    "verify-roundtrip": ["verify", "--suite", "roundtrip", "--L", "6"],
+    "verify-remainder-decay": ["verify", "--suite", "remainder-decay", "--L", "6"],
 }
 
 

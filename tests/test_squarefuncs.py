@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import flaglp
 from flaglp import analyze, g_flag, g_flag_discrete, hardy_norm, pp_compare
@@ -88,14 +86,13 @@ def test_hardy_norm_domain(small):
         hardy_norm(f, bank, 0.0)
 
 
-@settings(max_examples=10, deadline=None)
-@given(c=st.floats(min_value=0.01, max_value=50, allow_nan=False),
-       p=st.sampled_from([0.5, 0.8, 1.0]))
-def test_hardy_norm_homogeneity(small, c, p):
+def test_hardy_norm_homogeneity(small):
     grid, bank = small
     f = random_function(grid, 4)
-    assert hardy_norm(f * c, bank, p) == pytest.approx(
-        c * hardy_norm(f, bank, p), rel=1e-12)
+    for p in (0.5, 0.8, 1.0):
+        for c in (0.01, 0.37, 1.0, 12.5, 50.0):
+            assert hardy_norm(f * c, bank, p) == pytest.approx(
+                c * hardy_norm(f, bank, p), rel=1e-12), (c, p)
 
 
 def test_hardy_norm_p_triangle(small):

@@ -7,7 +7,7 @@ from flaglp import (CoefficientField, analyze, neumann_inverse, reconstruction_a
 from flaglp.errors import ConvergenceError, DivergenceError, ShapeMismatchError
 from flaglp.filters import FilterProfile, lift_flag_filter
 from flaglp.transform import (_anchor_slices, anchored_scales, band_projector,
-                              channel_convolution, estimate_remainder_norm,
+                              channel_energies, estimate_remainder_norm,
                               folded_reconstruction_hat, low_pass_apply, remainder_apply)
 
 from conftest import dense_cyclic_convolution, random_function
@@ -98,7 +98,7 @@ def test_channel_convolution_matches_analyze(small):
     f = random_function(grid, 4)
     coeffs = analyze(f, bank)
     j, k = anchored_scales(bank)[0]
-    conv = channel_convolution(f, bank, j, k)
+    conv = np.fft.ifftn(lift_flag_filter(bank, j, k) * np.fft.fftn(f.values))
     anchors = conv[_anchor_slices(grid, j, k, bank.N)]
     assert np.max(np.abs(coeffs.slots[(j, k)] - anchors)) == 0.0
 
@@ -323,11 +323,33 @@ def test_coefficient_field_rejects_other_offset(small3):
 
 
 def test_grid_mismatch_raises(small):
+    # every route from a function to its spectrum checks the grid; without
+    # the check a foreign grid fails only later, with a numpy broadcast error
     grid, bank = small
-    other = flaglp.make_grid(1, 1, 5)
-    f = random_function(other, 0)
-    with pytest.raises(ShapeMismatchError):
-        analyze(f, bank)
+    f = random_function(grid, 0)
+    foreign = random_function(flaglp.make_grid(1, 1, 5), 0)
+    other_bank = flaglp.build_filter_bank(foreign.grid, N=bank.N)
+    cands = flaglp.generate_candidates(analyze(f, bank), budget=4)
+    routes = {
+        "analyze": lambda g: analyze(g, bank),
+        "T": lambda g: reconstruction_apply(g, bank),
+        "T*": lambda g: reconstruction_apply(g, bank, adjoint=True),
+        "R": lambda g: remainder_apply(g, bank),
+        "low_pass_apply": lambda g: low_pass_apply(g, bank),
+        "synthesize_continuous": lambda g: synthesize_continuous(g, bank),
+        "channel_energies": lambda g: list(channel_energies(g, bank, bank.scales)),
+        "g_flag": lambda g: flaglp.g_flag(g, bank),
+        "cmo_norm": lambda g: flaglp.cmo_norm(g, bank, 1.0, cands),
+        "pp_compare": lambda g: flaglp.pp_compare(g, bank, bank, 1.0),
+    }
+    for route in routes.values():
+        route(f)
+        with pytest.raises(ShapeMismatchError):
+            route(foreign)
+    # either bank of pp_compare may be the foreign one
+    for bank_a, bank_b in ((bank, other_bank), (other_bank, bank)):
+        with pytest.raises(ShapeMismatchError):
+            flaglp.pp_compare(f, bank_a, bank_b, 1.0)
 
 
 # L=7 profiles on both sides of the certificate outer_radius <= 2^(N-1)
